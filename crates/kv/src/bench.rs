@@ -43,19 +43,45 @@ impl Default for BenchSpec {
 }
 
 impl BenchSpec {
-    /// Encodes key index `i` as a fixed-width key.
+    /// Encodes key index `i` as a fixed-width key: its decimal digits
+    /// zero-padded to 16, then cut or `'0'`-padded to `key_size`.
     pub fn key(&self, i: u64) -> Vec<u8> {
-        let mut k = format!("{i:016}").into_bytes();
+        let mut k = Vec::with_capacity(self.key_size.max(MAX_DIGITS));
+        push_zero_padded(&mut k, i, 16);
         k.resize(self.key_size, b'0');
         k
     }
 
-    /// A deterministic value for key index `i`.
+    /// A deterministic value for key index `i`: `v` and its digits
+    /// zero-padded to 15, then cut or `'x'`-padded to `value_size`.
     pub fn value(&self, i: u64) -> Vec<u8> {
-        let mut v = format!("v{i:015}").into_bytes();
+        let mut v = Vec::with_capacity(self.value_size.max(1 + MAX_DIGITS));
+        v.push(b'v');
+        push_zero_padded(&mut v, i, 15);
         v.resize(self.value_size, b'x');
         v
     }
+}
+
+/// Decimal digits in `u64::MAX`.
+const MAX_DIGITS: usize = 20;
+
+/// Appends `i` in decimal, zero-padded to at least `width` digits (the
+/// bytes of `format!("{i:0width$}")`).
+fn push_zero_padded(out: &mut Vec<u8>, mut i: u64, width: usize) {
+    let mut digits = [0u8; MAX_DIGITS];
+    let mut start = MAX_DIGITS;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (i % 10) as u8;
+        i /= 10;
+        if i == 0 {
+            break;
+        }
+    }
+    let len = MAX_DIGITS - start;
+    out.resize(out.len() + width.saturating_sub(len), b'0');
+    out.extend_from_slice(&digits[start..]);
 }
 
 /// The measurements `db_bench` prints.
@@ -219,6 +245,39 @@ mod tests {
         assert_eq!(spec.value(7).len(), 64);
         assert_eq!(spec.key(7), spec.key(7));
         assert_ne!(spec.key(7), spec.key(8));
+    }
+
+    #[test]
+    fn keys_and_values_match_the_format_reference() {
+        let reference = |spec: &BenchSpec, i: u64| {
+            let mut k = format!("{i:016}").into_bytes();
+            k.resize(spec.key_size, b'0');
+            let mut v = format!("v{i:015}").into_bytes();
+            v.resize(spec.value_size, b'x');
+            (k, v)
+        };
+        for (key_size, value_size) in [(8, 4), (15, 15), (16, 16), (17, 64), (24, 100), (0, 0)] {
+            let spec = BenchSpec {
+                key_size,
+                value_size,
+                ..BenchSpec::default()
+            };
+            for i in [
+                0,
+                7,
+                10u64.pow(15) - 1,
+                10u64.pow(15),
+                10u64.pow(16) - 1,
+                10u64.pow(16),
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    (spec.key(i), spec.value(i)),
+                    reference(&spec, i),
+                    "i = {i}, key_size = {key_size}, value_size = {value_size}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,15 +2,14 @@
 
 use crate::error::DbError;
 use crate::memtable::Memtable;
-use crate::record::Record;
-use crate::sstable::{merge_runs, split_into_files, SsTable};
+use crate::record::{Record, RecordRef};
+use crate::sstable::{merge_to_bottom, SsTable};
 use crate::wal::Wal;
 use deepnote_blockdev::BlockDevice;
 use deepnote_fs::{Filesystem, FsError, JournalConfig};
 use deepnote_sim::{Clock, SimDuration};
 use deepnote_telemetry::{Layer, Tracer, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// An owned key-value pair, as returned by [`Db::scan`].
 pub type KvPair = (Vec<u8>, Vec<u8>);
@@ -85,6 +84,36 @@ impl DbStats {
     }
 }
 
+/// One SSTable file of a level; its table is loaded on first access and
+/// stays resident.
+#[derive(Debug)]
+struct TableFile {
+    path: String,
+    table: Option<SsTable>,
+}
+
+impl TableFile {
+    /// The table, read from the file (and verified) on first access.
+    fn table<D: BlockDevice>(&mut self, fs: &mut Filesystem<D>) -> Result<&SsTable, DbError> {
+        let table = match self.table.take() {
+            Some(table) => table,
+            None => SsTable::load(fs, &self.path)?,
+        };
+        Ok(self.table.insert(table))
+    }
+}
+
+/// How far a flush or compaction got before it failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Progress {
+    /// Writing the new table files; the manifest is untouched.
+    Tables,
+    /// Rewriting the manifest and committing it.
+    Manifest,
+    /// Committed: the new tables are durable and in the manifest.
+    Committed,
+}
+
 /// A RocksDB-style LSM store on the journaling filesystem.
 ///
 /// See the crate docs for an example.
@@ -95,11 +124,10 @@ pub struct Db<D: BlockDevice> {
     config: DbConfig,
     memtable: Memtable,
     wal: Wal,
-    /// L0 file paths, oldest first (lookup scans newest first).
-    level0: Vec<String>,
-    /// L1 file paths, sorted by key range, non-overlapping.
-    level1: Vec<String>,
-    table_cache: BTreeMap<String, SsTable>,
+    /// L0 files, oldest first (lookup scans newest first).
+    level0: Vec<TableFile>,
+    /// L1 files, sorted by key range, non-overlapping.
+    level1: Vec<TableFile>,
     next_file_no: u64,
     ops_since_sync: u64,
     crashed: bool,
@@ -144,7 +172,6 @@ impl<D: BlockDevice> Db<D> {
             wal: Wal::new(WAL_PATH, 0, config.wal_patience),
             level0: Vec::new(),
             level1: Vec::new(),
-            table_cache: BTreeMap::new(),
             next_file_no: 1,
             ops_since_sync: 0,
             crashed: false,
@@ -191,7 +218,6 @@ impl<D: BlockDevice> Db<D> {
             wal: Wal::new(WAL_PATH, durable_len, config.wal_patience),
             level0,
             level1,
-            table_cache: BTreeMap::new(),
             next_file_no,
             ops_since_sync: 0,
             crashed: false,
@@ -277,11 +303,11 @@ impl<D: BlockDevice> Db<D> {
 
     fn write_manifest(&mut self) -> Result<(), DbError> {
         let mut text = String::new();
-        for p in &self.level0 {
-            text.push_str(&format!("0 {p}\n"));
+        for f in &self.level0 {
+            text.push_str(&format!("0 {}\n", f.path));
         }
-        for p in &self.level1 {
-            text.push_str(&format!("1 {p}\n"));
+        for f in &self.level1 {
+            text.push_str(&format!("1 {}\n", f.path));
         }
         text.push_str(&format!("next {}\n", self.next_file_no));
         if self.fs.exists(MANIFEST_PATH) {
@@ -292,7 +318,9 @@ impl<D: BlockDevice> Db<D> {
         Ok(())
     }
 
-    fn read_manifest(fs: &mut Filesystem<D>) -> Result<(Vec<String>, Vec<String>, u64), DbError> {
+    fn read_manifest(
+        fs: &mut Filesystem<D>,
+    ) -> Result<(Vec<TableFile>, Vec<TableFile>, u64), DbError> {
         let size = fs.stat(MANIFEST_PATH)?.size;
         let raw = fs.read_file(MANIFEST_PATH, 0, size as usize)?;
         let text = String::from_utf8(raw).map_err(|_| DbError::Corruption {
@@ -301,11 +329,15 @@ impl<D: BlockDevice> Db<D> {
         let mut level0 = Vec::new();
         let mut level1 = Vec::new();
         let mut next = 1;
+        let on_disk = |path: &str| TableFile {
+            path: path.to_string(),
+            table: None,
+        };
         for line in text.lines() {
             let mut parts = line.split_whitespace();
             match (parts.next(), parts.next()) {
-                (Some("0"), Some(p)) => level0.push(p.to_string()),
-                (Some("1"), Some(p)) => level1.push(p.to_string()),
+                (Some("0"), Some(p)) => level0.push(on_disk(p)),
+                (Some("1"), Some(p)) => level1.push(on_disk(p)),
                 (Some("next"), Some(n)) => {
                     next = n.parse().map_err(|_| DbError::Corruption {
                         what: "bad manifest next-file number".into(),
@@ -320,16 +352,6 @@ impl<D: BlockDevice> Db<D> {
             }
         }
         Ok((level0, level1, next))
-    }
-
-    // ----- table cache ---------------------------------------------------
-
-    fn table(&mut self, path: &str) -> Result<&SsTable, DbError> {
-        if !self.table_cache.contains_key(path) {
-            let table = SsTable::load(&mut self.fs, path)?;
-            self.table_cache.insert(path.to_string(), table);
-        }
-        Ok(&self.table_cache[path])
     }
 
     // ----- public API ---------------------------------------------------
@@ -403,33 +425,18 @@ impl<D: BlockDevice> Db<D> {
     pub fn scan(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, DbError> {
         self.check_alive()?;
         self.clock.advance(self.config.cpu_op_cost);
-        let mut merged: std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>> =
-            std::collections::BTreeMap::new();
+        let mut merged = std::collections::BTreeMap::new();
+        let mut merge = |(key, value): RecordRef<'_>| {
+            if key >= start && key < end {
+                merged.insert(key.to_vec(), value.map(<[u8]>::to_vec));
+            }
+        };
         // Oldest first so newer versions overwrite: L1, then L0 in age
         // order, then the memtable.
-        for path in self.level1.clone() {
-            for rec in self.table(&path)?.records().to_vec() {
-                if rec.key.as_slice() >= start && rec.key.as_slice() < end {
-                    merged.insert(rec.key, rec.value);
-                }
-            }
+        for file in self.level1.iter_mut().chain(self.level0.iter_mut()) {
+            file.table(&mut self.fs)?.iter().for_each(&mut merge);
         }
-        for path in self.level0.clone() {
-            for rec in self.table(&path)?.records().to_vec() {
-                if rec.key.as_slice() >= start && rec.key.as_slice() < end {
-                    merged.insert(rec.key, rec.value);
-                }
-            }
-        }
-        let mem: Vec<Record> = {
-            let mut snapshot = self.memtable.clone();
-            snapshot.drain_sorted()
-        };
-        for rec in mem {
-            if rec.key.as_slice() >= start && rec.key.as_slice() < end {
-                merged.insert(rec.key, rec.value);
-            }
-        }
+        self.memtable.iter().for_each(merge);
         Ok(merged
             .into_iter()
             .filter_map(|(k, v)| v.map(|v| (k, v)))
@@ -485,18 +492,18 @@ impl<D: BlockDevice> Db<D> {
         self.clock.advance(self.config.cpu_op_cost);
         self.stats.gets += 1;
         if let Some(hit) = self.memtable.get(key) {
-            return Ok(hit.map(|v| v.to_vec()));
+            return Ok(hit.map(<[u8]>::to_vec));
         }
-        for path in self.level0.clone().iter().rev() {
-            if let Some(hit) = self.table(path)?.get(key) {
-                return Ok(hit.map(|v| v.to_vec()));
+        for file in self.level0.iter_mut().rev() {
+            if let Some(hit) = file.table(&mut self.fs)?.get(key) {
+                return Ok(hit.map(<[u8]>::to_vec));
             }
         }
-        for path in self.level1.clone() {
-            let t = self.table(&path)?;
+        for file in &mut self.level1 {
+            let t = file.table(&mut self.fs)?;
             if t.min_key().is_some_and(|mk| key >= mk) && t.max_key().is_some_and(|mk| key <= mk) {
                 if let Some(hit) = t.get(key) {
-                    return Ok(hit.map(|v| v.to_vec()));
+                    return Ok(hit.map(<[u8]>::to_vec));
                 }
             }
         }
@@ -508,7 +515,9 @@ impl<D: BlockDevice> Db<D> {
     ///
     /// # Errors
     ///
-    /// Fatal WAL/flush persistence failures crash the store.
+    /// Fatal WAL/flush persistence failures crash the store. After any
+    /// other failure (e.g. [`FsError::NoSpace`]) the store stays open with
+    /// the memtable and levels it had before.
     pub fn flush(&mut self) -> Result<(), DbError> {
         self.check_alive()?;
         if self.memtable.is_empty() {
@@ -516,17 +525,23 @@ impl<D: BlockDevice> Db<D> {
         }
         self.sync_wal()?;
         let t0 = self.clock.now();
-        let records = self.memtable.drain_sorted();
-        let flush_bytes = records.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
+        let table = SsTable::from_sorted(self.memtable.iter())?;
+        let flush_bytes = table.encoded_len() as u64;
         self.stats.flush_bytes += flush_bytes;
         let path = format!("{DB_DIR}/sst_0_{}", self.next_file_no);
         self.next_file_no += 1;
+        let mut progress = Progress::Tables;
         let result: Result<(), DbError> = (|| {
-            let table = SsTable::write(&mut self.fs, path.clone(), records)?;
-            self.table_cache.insert(path.clone(), table);
-            self.level0.push(path.clone());
+            table.write(&mut self.fs, &path)?;
+            self.level0.push(TableFile {
+                path: path.clone(),
+                table: Some(table),
+            });
+            progress = Progress::Manifest;
             self.write_manifest()?;
-            self.fs.commit().map_err(DbError::from)?;
+            self.fs.commit()?;
+            progress = Progress::Committed;
+            self.memtable = Memtable::new();
             self.wal.reset(&mut self.fs)?;
             Ok(())
         })();
@@ -541,16 +556,11 @@ impl<D: BlockDevice> Db<D> {
             }
             // Background flush failure is a hard error in RocksDB too.
             Err(e) => {
-                let e = if e.is_fatal() || matches!(e, DbError::Fs(FsError::Io(_))) {
-                    self.crashed = true;
-                    if matches!(e, DbError::Fs(FsError::Io(_))) {
-                        DbError::WalSyncFailed
-                    } else {
-                        e
-                    }
-                } else {
-                    e
-                };
+                let e = self.background_error(e);
+                if !self.crashed && progress != Progress::Committed {
+                    self.level0.retain(|f| f.path != path);
+                    self.roll_back(&[path], progress);
+                }
                 Err(e)
             }
         }
@@ -564,34 +574,37 @@ impl<D: BlockDevice> Db<D> {
     pub fn compact(&mut self) -> Result<(), DbError> {
         self.check_alive()?;
         let t0 = self.clock.now();
-        // Gather runs newest-first: L0 newest→oldest, then L1.
-        let mut runs: Vec<Vec<Record>> = Vec::new();
-        for path in self.level0.clone().iter().rev() {
-            runs.push(self.table(path)?.records().to_vec());
+        // Runs newest-first: L0 newest→oldest, then L1.
+        let mut runs = Vec::with_capacity(self.level0.len() + self.level1.len());
+        for file in self.level0.iter_mut().rev().chain(self.level1.iter_mut()) {
+            runs.push(file.table(&mut self.fs)?);
         }
-        for path in self.level1.clone() {
-            runs.push(self.table(&path)?.records().to_vec());
-        }
-        let run_refs: Vec<&[Record]> = runs.iter().map(|r| r.as_slice()).collect();
         // L1 is the bottom level: tombstones can be dropped.
-        let merged = merge_runs(&run_refs, false);
-        let compaction_bytes = merged.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
+        let merged = merge_to_bottom(&runs);
+        let compaction_bytes = merged.iter().map(|t| t.encoded_len() as u64).sum::<u64>();
         self.stats.compaction_bytes += compaction_bytes;
 
-        let old_files: Vec<String> = self.level0.drain(..).chain(self.level1.drain(..)).collect();
+        let old_level0 = std::mem::take(&mut self.level0);
+        let old_level1 = std::mem::take(&mut self.level1);
+        let mut new_paths = Vec::with_capacity(merged.len());
+        let mut progress = Progress::Tables;
         let result: Result<(), DbError> = (|| {
-            for chunk in split_into_files(merged) {
+            for table in merged {
                 let path = format!("{DB_DIR}/sst_1_{}", self.next_file_no);
                 self.next_file_no += 1;
-                let table = SsTable::write(&mut self.fs, path.clone(), chunk)?;
-                self.table_cache.insert(path.clone(), table);
-                self.level1.push(path);
+                new_paths.push(path.clone());
+                table.write(&mut self.fs, &path)?;
+                self.level1.push(TableFile {
+                    path,
+                    table: Some(table),
+                });
             }
+            progress = Progress::Manifest;
             self.write_manifest()?;
-            self.fs.commit().map_err(DbError::from)?;
-            for old in &old_files {
-                self.table_cache.remove(old);
-                self.fs.unlink(old)?;
+            self.fs.commit()?;
+            progress = Progress::Committed;
+            for old in old_level0.iter().chain(&old_level1) {
+                self.fs.unlink(&old.path)?;
             }
             Ok(())
         })();
@@ -601,11 +614,47 @@ impl<D: BlockDevice> Db<D> {
                 self.stats.compactions += 1;
                 Ok(())
             }
-            Err(e) => self.fatal(if matches!(e, DbError::Fs(FsError::Io(_))) {
-                DbError::WalSyncFailed
-            } else {
-                e
-            }),
+            Err(e) => {
+                let e = self.background_error(e);
+                if !self.crashed && progress != Progress::Committed {
+                    self.level0 = old_level0;
+                    self.level1 = old_level1;
+                    self.roll_back(&new_paths, progress);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Classifies a flush/compaction failure: an I/O error means the store
+    /// can no longer persist its data and dies like a failed WAL sync;
+    /// other fatal errors crash it as usual.
+    fn background_error(&mut self, e: DbError) -> DbError {
+        let e = if matches!(e, DbError::Fs(FsError::Io(_))) {
+            DbError::WalSyncFailed
+        } else {
+            e
+        };
+        if e.is_fatal() {
+            self.crashed = true;
+        }
+        e
+    }
+
+    /// Best-effort undo of a flush or compaction that failed before its
+    /// commit and left the store open (the caller has restored the
+    /// levels): unlinks the new table files and, if the manifest was
+    /// already being rewritten, rewrites it for the restored levels.
+    /// Failures here are ignored: the in-memory state is already right,
+    /// and the next successful flush rewrites the manifest.
+    fn roll_back(&mut self, new_paths: &[String], progress: Progress) {
+        for path in new_paths {
+            if self.fs.exists(path) {
+                let _ = self.fs.unlink(path);
+            }
+        }
+        if progress == Progress::Manifest {
+            let _ = self.write_manifest();
         }
     }
 

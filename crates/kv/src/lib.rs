@@ -12,8 +12,9 @@
 //! * [`Wal`] — a checksummed write-ahead log stored as files on the
 //!   journaling filesystem, group-synced like RocksDB's group commit
 //!   ([`wal`]).
-//! * [`SsTable`] — immutable sorted runs with an in-memory table cache
-//!   ([`sstable`]).
+//! * [`SsTable`] — immutable sorted runs, held as their file's encoded
+//!   bytes plus record offsets: lookups binary-search the bytes, and
+//!   compaction merges runs by copying records verbatim ([`sstable`]).
 //! * [`Db`] — open/recover, `put`/`get`/`delete`, memtable flush, L0→L1
 //!   compaction, and crash semantics: when WAL persistence stays blocked
 //!   past a patience budget the database dies with
@@ -51,6 +52,6 @@ pub use bench::{BenchReport, BenchSpec};
 pub use db::{Db, DbConfig, DbStats};
 pub use error::DbError;
 pub use memtable::Memtable;
-pub use record::Record;
+pub use record::{Record, RecordRef};
 pub use sstable::SsTable;
 pub use wal::Wal;

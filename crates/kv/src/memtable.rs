@@ -1,6 +1,6 @@
 //! The in-memory write buffer.
 
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use std::collections::BTreeMap;
 
 /// An ordered in-memory buffer of the latest mutations, including
@@ -57,13 +57,12 @@ impl Memtable {
         self.approx_bytes
     }
 
-    /// Drains the memtable into sorted records for an SSTable flush.
-    pub fn drain_sorted(&mut self) -> Vec<Record> {
-        self.approx_bytes = 0;
-        std::mem::take(&mut self.entries)
-            .into_iter()
-            .map(|(key, value)| Record { key, value })
-            .collect()
+    /// The entries in key order, tombstones included (what an SSTable
+    /// flush writes).
+    pub fn iter(&self) -> impl Iterator<Item = RecordRef<'_>> {
+        self.entries
+            .iter()
+            .map(|(k, v)| (k.as_slice(), v.as_deref()))
     }
 }
 
@@ -92,17 +91,20 @@ mod tests {
     }
 
     #[test]
-    fn drain_is_sorted_and_empties() {
+    fn iter_is_sorted_with_tombstones() {
         let mut m = Memtable::new();
         m.put(b"c", b"3");
         m.put(b"a", b"1");
         m.delete(b"b");
-        let recs = m.drain_sorted();
-        let keys: Vec<&[u8]> = recs.iter().map(|r| r.key.as_slice()).collect();
-        assert_eq!(keys, vec![b"a".as_ref(), b"b".as_ref(), b"c".as_ref()]);
-        assert_eq!(recs[1].value, None);
-        assert!(m.is_empty());
-        assert_eq!(m.approx_bytes(), 0);
+        let entries: Vec<_> = m.iter().collect();
+        assert_eq!(
+            entries,
+            vec![
+                (b"a".as_ref(), Some(b"1".as_ref())),
+                (b"b".as_ref(), None),
+                (b"c".as_ref(), Some(b"3".as_ref())),
+            ]
+        );
     }
 
     #[test]

@@ -17,6 +17,13 @@ pub const MAX_LEN: usize = 1 << 20;
 
 const TOMBSTONE_TAG: u32 = u32::MAX;
 
+/// Bytes before the key: checksum, key length, value length/tag.
+const HEADER_LEN: usize = 12;
+
+/// A record borrowed from its encoding or from a memtable: the key and
+/// the value, `None` for a tombstone.
+pub type RecordRef<'a> = (&'a [u8], Option<&'a [u8]>);
+
 /// One logical mutation: a put or a delete.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Record {
@@ -45,7 +52,7 @@ impl Record {
 
     /// Encoded length in bytes.
     pub fn encoded_len(&self) -> usize {
-        12 + self.key.len() + self.value.as_ref().map_or(0, |v| v.len())
+        HEADER_LEN + self.key.len() + self.value.as_ref().map_or(0, |v| v.len())
     }
 
     /// Bytes of useful payload (key + value), the unit Table 2's MB/s
@@ -60,24 +67,7 @@ impl Record {
     ///
     /// [`DbError::TooLarge`] if key or value exceeds [`MAX_LEN`].
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), DbError> {
-        if self.key.len() > MAX_LEN || self.value.as_ref().is_some_and(|v| v.len() > MAX_LEN) {
-            return Err(DbError::TooLarge);
-        }
-        let vlen_tag = match &self.value {
-            Some(v) => v.len() as u32,
-            None => TOMBSTONE_TAG,
-        };
-        let body_start = out.len() + 4;
-        out.extend_from_slice(&[0u8; 4]); // checksum placeholder
-        out.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        out.extend_from_slice(&vlen_tag.to_le_bytes());
-        out.extend_from_slice(&self.key);
-        if let Some(v) = &self.value {
-            out.extend_from_slice(v);
-        }
-        let sum = fnv1a(&out[body_start..]);
-        out[body_start - 4..body_start].copy_from_slice(&sum.to_le_bytes());
-        Ok(())
+        encode_parts(&self.key, self.value.as_deref(), out)
     }
 
     /// Decodes one record from the front of `buf`, returning it and the
@@ -87,59 +77,102 @@ impl Record {
     ///
     /// [`DbError::Corruption`] on truncation or checksum mismatch.
     pub fn decode_from(buf: &[u8]) -> Result<(Record, usize), DbError> {
-        let corrupt = |what: &str| DbError::Corruption { what: what.into() };
-        if buf.len() < 12 {
-            return Err(corrupt("truncated record header"));
-        }
-        let le_u32 = |at: usize| -> Result<u32, DbError> {
-            buf.get(at..at + 4)
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or_else(|| corrupt("truncated record header"))
-        };
-        let stored_sum = le_u32(0)?;
-        let klen = le_u32(4)? as usize;
-        let vlen_tag = le_u32(8)?;
-        if klen > MAX_LEN {
-            return Err(corrupt("key length out of range"));
-        }
-        let vlen = if vlen_tag == TOMBSTONE_TAG {
-            0
-        } else {
-            vlen_tag as usize
-        };
-        if vlen > MAX_LEN {
-            return Err(corrupt("value length out of range"));
-        }
-        let total = 12 + klen + vlen;
-        if buf.len() < total {
-            return Err(corrupt("truncated record body"));
-        }
-        if fnv1a(&buf[4..total]) != stored_sum {
-            return Err(corrupt("record checksum mismatch"));
-        }
-        let key = buf[12..12 + klen].to_vec();
-        let value = if vlen_tag == TOMBSTONE_TAG {
-            None
-        } else {
-            Some(buf[12 + klen..total].to_vec())
-        };
-        Ok((Record { key, value }, total))
+        let ((key, value), used) = decode_parts(buf)?;
+        Ok((
+            Record {
+                key: key.to_vec(),
+                value: value.map(<[u8]>::to_vec),
+            },
+            used,
+        ))
     }
+}
 
-    /// Decodes a whole buffer of concatenated records.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Corruption`] on any malformed record.
-    pub fn decode_all(mut buf: &[u8]) -> Result<Vec<Record>, DbError> {
-        let mut out = Vec::new();
-        while !buf.is_empty() {
-            let (rec, used) = Record::decode_from(buf)?;
-            out.push(rec);
-            buf = &buf[used..];
-        }
-        Ok(out)
+/// Appends the encoding of a put (`Some` value) or a tombstone (`None`)
+/// to `out`.
+///
+/// # Errors
+///
+/// [`DbError::TooLarge`] if key or value exceeds [`MAX_LEN`].
+pub(crate) fn encode_parts(
+    key: &[u8],
+    value: Option<&[u8]>,
+    out: &mut Vec<u8>,
+) -> Result<(), DbError> {
+    if key.len() > MAX_LEN || value.is_some_and(|v| v.len() > MAX_LEN) {
+        return Err(DbError::TooLarge);
+    }
+    let vlen_tag = match value {
+        Some(v) => v.len() as u32,
+        None => TOMBSTONE_TAG,
+    };
+    let body_start = out.len() + 4;
+    out.extend_from_slice(&[0u8; 4]); // checksum placeholder
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&vlen_tag.to_le_bytes());
+    out.extend_from_slice(key);
+    if let Some(v) = value {
+        out.extend_from_slice(v);
+    }
+    let sum = fnv1a(&out[body_start..]);
+    out[body_start - 4..body_start].copy_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// Verifies the record at the front of `buf` and borrows it, returning
+/// its encoded length too.
+///
+/// # Errors
+///
+/// [`DbError::Corruption`] on truncation or checksum mismatch.
+pub(crate) fn decode_parts(buf: &[u8]) -> Result<(RecordRef<'_>, usize), DbError> {
+    let corrupt = |what: &str| DbError::Corruption { what: what.into() };
+    if buf.len() < HEADER_LEN {
+        return Err(corrupt("truncated record header"));
+    }
+    let (stored_sum, klen, vlen_tag) = header(buf);
+    if klen > MAX_LEN {
+        return Err(corrupt("key length out of range"));
+    }
+    let vlen = if vlen_tag == TOMBSTONE_TAG {
+        0
+    } else {
+        vlen_tag as usize
+    };
+    if vlen > MAX_LEN {
+        return Err(corrupt("value length out of range"));
+    }
+    let total = HEADER_LEN + klen + vlen;
+    if buf.len() < total {
+        return Err(corrupt("truncated record body"));
+    }
+    if fnv1a(&buf[4..total]) != stored_sum {
+        return Err(corrupt("record checksum mismatch"));
+    }
+    Ok(split_parts(buf, klen, vlen_tag))
+}
+
+/// Borrows the record at the front of `buf`, which must already have
+/// passed [`decode_parts`], returning its encoded length too.
+pub(crate) fn split_verified(buf: &[u8]) -> (RecordRef<'_>, usize) {
+    let (_, klen, vlen_tag) = header(buf);
+    split_parts(buf, klen, vlen_tag)
+}
+
+/// Checksum, key length and value length/tag of a record header.
+fn header(buf: &[u8]) -> (u32, usize, u32) {
+    let le_u32 = |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
+    (le_u32(0), le_u32(4) as usize, le_u32(8))
+}
+
+fn split_parts(buf: &[u8], klen: usize, vlen_tag: u32) -> (RecordRef<'_>, usize) {
+    let key_end = HEADER_LEN + klen;
+    let key = &buf[HEADER_LEN..key_end];
+    if vlen_tag == TOMBSTONE_TAG {
+        ((key, None), key_end)
+    } else {
+        let end = key_end + vlen_tag as usize;
+        ((key, Some(&buf[key_end..end])), end)
     }
 }
 
@@ -163,10 +196,11 @@ mod tests {
         let mut buf = Vec::new();
         Record::put("alpha", "one").encode_into(&mut buf).unwrap();
         Record::delete("beta").encode_into(&mut buf).unwrap();
-        let recs = Record::decode_all(&buf).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0], Record::put("alpha", "one"));
-        assert_eq!(recs[1], Record::delete("beta"));
+        let (first, used) = Record::decode_from(&buf).unwrap();
+        let (second, rest) = Record::decode_from(&buf[used..]).unwrap();
+        assert_eq!(first, Record::put("alpha", "one"));
+        assert_eq!(second, Record::delete("beta"));
+        assert_eq!(used + rest, buf.len());
     }
 
     #[test]
