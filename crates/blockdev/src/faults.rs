@@ -1,22 +1,14 @@
 //! Deterministic fault injection.
 //!
 //! [`FaultInjector`] wraps any [`BlockDevice`] and fails requests
-//! according to an ordered set of [`FaultPlan`]s — used to test
+//! according to a scripted [`FaultPlan`] — used to test
 //! filesystem/database error paths (journal aborts, WAL sync failures)
 //! without bringing up the whole acoustic stack. For *probabilistic*
 //! faults (bursts, bit flips, torn writes) see
 //! [`ChaosInjector`](crate::ChaosInjector).
-//!
-//! # Composition and precedence
-//!
-//! Plans are checked in the order given; the **first** plan that wants
-//! to fail a request decides its error, and later plans never see it.
-//! Request/write counters are shared across all plans (every plan sees
-//! the same request index). [`FaultInjector::new`] remains the
-//! single-plan convenience constructor.
 
 use crate::device::BlockDevice;
-use crate::error::{IoError, EIO};
+use crate::error::IoError;
 
 /// When and how the injector fails requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +30,6 @@ pub enum FaultPlan {
         /// The error to return.
         error: IoError,
     },
-    /// Fail any request touching an LBA in `[lo, hi)`.
-    BadRange {
-        /// First bad block.
-        lo: u64,
-        /// One past the last bad block.
-        hi: u64,
-    },
 }
 
 /// A wrapper injecting faults into an inner device.
@@ -65,44 +50,28 @@ pub enum FaultPlan {
 #[derive(Debug)]
 pub struct FaultInjector<D> {
     inner: D,
-    plans: Vec<FaultPlan>,
+    plan: FaultPlan,
     requests: u64,
     writes: u64,
     injected: u64,
 }
 
 impl<D: BlockDevice> FaultInjector<D> {
-    /// Wraps `inner` with a single plan (the common case).
+    /// Wraps `inner`, failing requests as `plan` says.
     pub fn new(inner: D, plan: FaultPlan) -> Self {
-        Self::with_plans(inner, vec![plan])
-    }
-
-    /// Wraps `inner` with an ordered set of plans; on each request the
-    /// first matching plan wins (see the module docs for precedence).
-    pub fn with_plans(inner: D, plans: Vec<FaultPlan>) -> Self {
         FaultInjector {
             inner,
-            plans,
+            plan,
             requests: 0,
             writes: 0,
             injected: 0,
         }
     }
 
-    /// Replaces every plan with `plan` mid-run (e.g. start failing
-    /// after setup).
+    /// Replaces the plan mid-run (e.g. start failing after setup).
+    /// Request counts carry over.
     pub fn set_plan(&mut self, plan: FaultPlan) {
-        self.plans = vec![plan];
-    }
-
-    /// Appends a plan at the lowest precedence position.
-    pub fn push_plan(&mut self, plan: FaultPlan) {
-        self.plans.push(plan);
-    }
-
-    /// The plans in effect, in precedence order.
-    pub fn plans(&self) -> &[FaultPlan] {
-        &self.plans
+        self.plan = plan;
     }
 
     /// Number of injected failures so far.
@@ -120,17 +89,14 @@ impl<D: BlockDevice> FaultInjector<D> {
         self.inner
     }
 
-    fn check(&mut self, lba: u64, blocks: u64, is_write: bool) -> Result<(), IoError> {
-        let fault = self.plans.iter().find_map(|plan| match *plan {
+    fn check(&mut self, is_write: bool) -> Result<(), IoError> {
+        let fault = match self.plan {
             FaultPlan::None => None,
             FaultPlan::FailFrom { start, error } => (self.requests >= start).then_some(error),
             FaultPlan::FailWritesFrom { start, error } => {
                 (is_write && self.writes >= start).then_some(error)
             }
-            FaultPlan::BadRange { lo, hi } => {
-                (lba < hi && lba + blocks > lo).then_some(IoError::Medium { errno: EIO })
-            }
-        });
+        };
         self.requests += 1;
         if is_write {
             self.writes += 1;
@@ -151,14 +117,12 @@ impl<D: BlockDevice> BlockDevice for FaultInjector<D> {
     }
 
     fn read_blocks(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let blocks = (buf.len() / crate::device::BLOCK_SIZE) as u64;
-        self.check(lba, blocks, false)?;
+        self.check(false)?;
         self.inner.read_blocks(lba, buf)
     }
 
     fn write_blocks(&mut self, lba: u64, buf: &[u8]) -> Result<(), IoError> {
-        let blocks = (buf.len() / crate::device::BLOCK_SIZE) as u64;
-        self.check(lba, blocks, true)?;
+        self.check(true)?;
         self.inner.write_blocks(lba, buf)
     }
 
@@ -170,6 +134,7 @@ impl<D: BlockDevice> BlockDevice for FaultInjector<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EIO;
     use crate::mem::MemDisk;
 
     #[test]
@@ -214,61 +179,6 @@ mod tests {
         let mut out = vec![0u8; 512];
         assert!(d.write_blocks(0, &buf).is_err());
         assert!(d.read_blocks(0, &mut out).is_ok());
-    }
-
-    #[test]
-    fn bad_range_hits_overlaps_only() {
-        let mut d = FaultInjector::new(MemDisk::new(64), FaultPlan::BadRange { lo: 10, hi: 12 });
-        let buf = vec![0u8; 512 * 4];
-        assert!(d.write_blocks(0, &buf).is_ok()); // 0..4
-        assert!(d.write_blocks(8, &buf).is_err()); // 8..12 overlaps
-        assert!(d.write_blocks(12, &buf).is_ok()); // 12..16 clear
-        assert_eq!(
-            d.write_blocks(11, &buf).unwrap_err(),
-            IoError::Medium { errno: EIO }
-        );
-    }
-
-    #[test]
-    fn composed_plans_first_match_wins() {
-        // A bad block range composed under a later fail-everything plan:
-        // requests in the range report the range's medium error, the
-        // rest fall through to the second plan.
-        let mut d = FaultInjector::with_plans(
-            MemDisk::new(64),
-            vec![
-                FaultPlan::BadRange { lo: 10, hi: 12 },
-                FaultPlan::FailWritesFrom {
-                    start: 2,
-                    error: IoError::NoResponse,
-                },
-            ],
-        );
-        let buf = vec![0u8; 512];
-        assert!(d.write_blocks(0, &buf).is_ok()); // write 0: neither plan
-        assert_eq!(
-            d.write_blocks(10, &buf).unwrap_err(),
-            IoError::Medium { errno: EIO }, // write 1: range wins
-        );
-        assert_eq!(
-            d.write_blocks(10, &buf).unwrap_err(),
-            IoError::Medium { errno: EIO }, // write 2: range still first
-        );
-        assert_eq!(d.write_blocks(0, &buf).unwrap_err(), IoError::NoResponse);
-        assert_eq!(d.injected(), 3);
-        assert_eq!(d.plans().len(), 2);
-    }
-
-    #[test]
-    fn push_plan_appends_at_lowest_precedence() {
-        let mut d = FaultInjector::new(MemDisk::new(16), FaultPlan::None);
-        d.push_plan(FaultPlan::FailFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
-        let buf = vec![0u8; 512];
-        // FaultPlan::None never matches, so the pushed plan decides.
-        assert_eq!(d.write_blocks(0, &buf).unwrap_err(), IoError::NoResponse);
     }
 
     #[test]

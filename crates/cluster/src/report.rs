@@ -7,7 +7,7 @@ use crate::node::NodeCounters;
 use crate::placement::PlacementPolicy;
 use crate::replication::RepairStats;
 use deepnote_blockdev::{ChaosEvent, ChaosStats};
-use deepnote_telemetry::{MetricSeries, SloAlert, TraceLog};
+use deepnote_telemetry::{json_f64, push_json_string, MetricSeries, SloAlert, TraceLog};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -473,7 +473,6 @@ impl CampaignReport {
             j.push_str("]}");
         }
         let ew = &self.early_warning;
-        let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_f64);
         j.push_str("],\"early_warning\":{\"first_node_down\":");
         match ew.first_node_down {
             Some((node, at_s)) => {
@@ -484,9 +483,9 @@ impl CampaignReport {
         let _ = write!(
             j,
             ",\"first_alert_s\":{},\"quorum_loss_s\":{},\"lead_time_s\":{}}},",
-            opt(ew.first_alert_s),
-            opt(ew.quorum_loss_s),
-            opt(ew.lead_time_s())
+            json_f64(ew.first_alert_s),
+            json_f64(ew.quorum_loss_s),
+            json_f64(ew.lead_time_s())
         );
         j.push_str("\"events\":[");
         for (i, e) in self.events.iter().enumerate() {
@@ -507,40 +506,9 @@ fn json_str(out: &mut String, key: &str, value: &str) {
     push_json_string(out, value);
 }
 
-/// Appends a JSON string literal with escaping.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A finite `f64` as a JSON number (non-finite values become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// One op class as a JSON object (percentiles may be `null`).
 fn json_op_class(out: &mut String, c: &OpClassMetrics) {
-    let pct = |p: f64| {
-        c.percentile_ms(p)
-            .map_or_else(|| "null".to_string(), json_f64)
-    };
+    let pct = |p: f64| json_f64(c.percentile_ms(p));
     let _ = write!(
         out,
         "{{\"attempted\":{},\"ok\":{},\"slo_ok\":{},\"p50_ms\":{},\"p99_ms\":{}}}",

@@ -46,6 +46,11 @@ pub struct FsStats {
     pub journal_commits: u64,
 }
 
+/// One bit per file block (direct, then indirect): the blocks a single
+/// [`Filesystem::write_file`] call allocated.
+type FreshBlocks = [u64; FRESH_WORDS];
+const FRESH_WORDS: usize = (DIRECT_POINTERS + INDIRECT_POINTERS).div_ceil(64);
+
 /// A mounted journaling filesystem over a block device.
 ///
 /// See the crate docs for an end-to-end example.
@@ -623,6 +628,29 @@ impl<D: BlockDevice> Filesystem<D> {
         if data.is_empty() {
             return Ok(());
         }
+        let had_indirect = inode.indirect != NO_BLOCK;
+        let mut fresh: FreshBlocks = [0; FRESH_WORDS];
+        if let Err(e) = self.write_blocks(ino, &mut inode, offset, data, &mut fresh) {
+            return self
+                .release_fresh_blocks(&inode, had_indirect, &fresh)
+                .and(Err(e));
+        }
+        self.stage_bitmaps();
+        Ok(())
+    }
+
+    /// The body of [`Self::write_file`]: maps, fills and buffers every
+    /// block `data` touches, then stages the inode. Marks each file block
+    /// it allocates in `fresh` so a failure can give them back.
+    fn write_blocks(
+        &mut self,
+        ino: u64,
+        inode: &mut Inode,
+        offset: u64,
+        data: &[u8],
+        fresh: &mut FreshBlocks,
+    ) -> Result<(), FsError> {
+        let end = offset + data.len() as u64;
         let first_block = offset / FS_BLOCK_SIZE as u64;
         let last_block = (end - 1) / FS_BLOCK_SIZE as u64;
         let mut written = 0usize;
@@ -633,8 +661,11 @@ impl<D: BlockDevice> Filesystem<D> {
         for b in first_block..=last_block {
             // A block that did not exist before this write reads as
             // zeros — no device I/O for freshly allocated space.
-            let existed = self.inode_block(&mut inode, b, false)? != NO_BLOCK;
-            let fs_block = self.inode_block(&mut inode, b, true)?;
+            let existed = self.inode_block(inode, b, false)? != NO_BLOCK;
+            let fs_block = self.inode_block(inode, b, true)?;
+            if !existed {
+                fresh[(b / 64) as usize] |= 1 << (b % 64);
+            }
             let block_start = b * FS_BLOCK_SIZE as u64;
             let in_block_off = offset.max(block_start) - block_start;
             let in_block_end = (end - block_start).min(FS_BLOCK_SIZE as u64);
@@ -669,8 +700,46 @@ impl<D: BlockDevice> Filesystem<D> {
         if end > inode.size {
             inode.size = end;
         }
-        self.stage_inode(ino, &inode)?;
-        self.stage_bitmaps();
+        self.stage_inode(ino, inode)
+    }
+
+    /// Gives back what a failed [`Self::write_blocks`] allocated. The
+    /// staged inode never pointed at those blocks (it is staged only on
+    /// success), so without this they would stay allocated for good:
+    /// frees the data blocks marked in `fresh` and the indirect block if
+    /// this write allocated it, and clears the fresh pointers of an
+    /// indirect block that already existed.
+    fn release_fresh_blocks(
+        &mut self,
+        inode: &Inode,
+        had_indirect: bool,
+        fresh: &FreshBlocks,
+    ) -> Result<(), FsError> {
+        let is_fresh = |b: usize| fresh[b / 64] >> (b % 64) & 1 == 1;
+        for (b, &block) in inode.direct.iter().enumerate() {
+            if is_fresh(b) {
+                self.free_data_block(block);
+            }
+        }
+        if inode.indirect == NO_BLOCK {
+            return Ok(());
+        }
+        if (DIRECT_POINTERS..DIRECT_POINTERS + INDIRECT_POINTERS).any(is_fresh) {
+            let mut raw = self.read_effective(inode.indirect)?;
+            for i in (0..INDIRECT_POINTERS).filter(|i| is_fresh(DIRECT_POINTERS + i)) {
+                let ptr = &mut raw[i * 8..i * 8 + 8];
+                let mut block = [0u8; 8];
+                block.copy_from_slice(ptr);
+                self.free_data_block(u64::from_le_bytes(block));
+                ptr.copy_from_slice(&NO_BLOCK.to_le_bytes());
+            }
+            if had_indirect {
+                self.stage_and_cache(inode.indirect, raw);
+            }
+        }
+        if !had_indirect {
+            self.free_data_block(inode.indirect);
+        }
         Ok(())
     }
 
@@ -1034,6 +1103,7 @@ impl<D: BlockDevice> Filesystem<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::SECTORS_PER_FS_BLOCK;
     use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
     use deepnote_sim::SimDuration;
 
@@ -1243,6 +1313,79 @@ mod tests {
         assert_eq!(after.free_blocks, before.free_blocks);
         assert_eq!(after.free_inodes, before.free_inodes);
         assert!(!fs.exists("/tmp_file"));
+    }
+
+    /// The smallest formattable disk: about a thousand data blocks.
+    fn small_fs() -> Filesystem<MemDisk> {
+        Filesystem::format(MemDisk::new(2_560 * SECTORS_PER_FS_BLOCK), Clock::new()).unwrap()
+    }
+
+    /// Fills the disk with filler files until exactly `left` data blocks
+    /// are free.
+    fn fill_until_free(fs: &mut Filesystem<MemDisk>, left: u64) {
+        let mut n = 0;
+        loop {
+            let free = fs.stats().free_blocks;
+            if free <= left {
+                assert_eq!(free, left, "filler overshot");
+                return;
+            }
+            let path = format!("/fill{n}");
+            fs.create_file(&path).unwrap();
+            // The create may have taken a directory block; leave room
+            // for the filler's own indirect block.
+            let room = fs.stats().free_blocks - left;
+            let blocks = if room > DIRECT_POINTERS as u64 {
+                (room - 1).min((DIRECT_POINTERS + INDIRECT_POINTERS) as u64)
+            } else {
+                room
+            };
+            let bytes = blocks as usize * FS_BLOCK_SIZE;
+            fs.write_file(&path, 0, &vec![7u8; bytes]).unwrap();
+            n += 1;
+        }
+    }
+
+    #[test]
+    fn failed_write_gives_back_its_blocks() {
+        // A write that runs out of space part-way must free what it
+        // allocated: twelve direct blocks, a new indirect block, and the
+        // indirect-mapped blocks before the failure.
+        let mut fs = small_fs();
+        fill_until_free(&mut fs, 20);
+        let before = fs.stats();
+        fs.create_file("/victim").unwrap();
+        let big = vec![1u8; 40 * FS_BLOCK_SIZE];
+        assert_eq!(fs.write_file("/victim", 0, &big), Err(FsError::NoSpace));
+        fs.unlink("/victim").unwrap();
+        assert_eq!(fs.fsck().unwrap(), Vec::<String>::new());
+        assert_eq!(fs.stats().free_blocks, before.free_blocks);
+        assert_eq!(fs.stats().free_inodes, before.free_inodes);
+    }
+
+    #[test]
+    fn failed_write_clears_its_pointers_in_an_existing_indirect_block() {
+        let mut fs = small_fs();
+        fill_until_free(&mut fs, 30);
+        let before = fs.stats();
+        fs.create_file("/victim").unwrap();
+        let head = vec![1u8; 14 * FS_BLOCK_SIZE];
+        fs.write_file("/victim", 0, &head).unwrap();
+        let written = fs.stats();
+        let tail = vec![2u8; 40 * FS_BLOCK_SIZE];
+        let at = head.len() as u64;
+        assert_eq!(fs.write_file("/victim", at, &tail), Err(FsError::NoSpace));
+        assert_eq!(fs.stats().free_blocks, written.free_blocks);
+        // Re-writing the same range must allocate afresh, not reuse the
+        // freed blocks through stale indirect pointers.
+        fs.write_file("/victim", at, &tail[..4 * FS_BLOCK_SIZE])
+            .unwrap();
+        assert_eq!(fs.fsck().unwrap(), Vec::<String>::new());
+        assert_eq!(fs.stats().free_blocks, written.free_blocks - 4);
+        assert_eq!(fs.read_file("/victim", at, 4).unwrap(), vec![2u8; 4]);
+        fs.unlink("/victim").unwrap();
+        assert_eq!(fs.fsck().unwrap(), Vec::<String>::new());
+        assert_eq!(fs.stats().free_blocks, before.free_blocks);
     }
 
     #[test]

@@ -308,9 +308,8 @@ mod tests {
             1,
             "acoustics cache panic uncovered"
         );
-        // The perf harness lives in the `deepnote` binary, where the
-        // panic rule does not apply but the determinism rules still do
-        // — its wall-clock reads carry explicit suppressions.
+        // The `deepnote` binary is exempt from the panic rule but not
+        // from the determinism rules: it must not read the host clock.
         assert!(run_on("crates/cluster/src/bin/deepnote.rs", panicky).is_empty());
         assert_eq!(
             run_on("crates/cluster/src/bin/deepnote.rs", clocky).len(),

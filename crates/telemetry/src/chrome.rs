@@ -118,19 +118,30 @@ fn push_value(out: &mut String, v: &Value) {
             let _ = write!(out, "{n}");
         }
         Value::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
+            let _ = write!(out, "{}", json_f64(*x));
         }
         Value::Str(s) => push_json_string(out, s),
         Value::Text(s) => push_json_string(out, s),
     }
 }
 
+/// A JSON number for an `f64`, or `null` when it is absent or not
+/// finite (JSON has no `inf` or `NaN`). Accepts `f64` and `Option<f64>`.
+pub fn json_f64(v: impl Into<Option<f64>>) -> impl std::fmt::Display {
+    struct Number(Option<f64>);
+    impl std::fmt::Display for Number {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self.0 {
+                Some(v) if v.is_finite() => write!(f, "{v}"),
+                _ => f.write_str("null"),
+            }
+        }
+    }
+    Number(v.into())
+}
+
 /// Appends a JSON string literal with escaping.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -217,5 +228,15 @@ mod tests {
         let j = export(&[("empty", &log)]);
         assert!(j.contains("traceEvents"));
         assert!(j.ends_with("]}\n"));
+    }
+
+    #[test]
+    fn json_numbers_are_shortest_decimals_or_null() {
+        assert_eq!(json_f64(0.25).to_string(), "0.25");
+        assert_eq!(json_f64(3.0).to_string(), "3");
+        assert_eq!(json_f64(Some(-1.5)).to_string(), "-1.5");
+        assert_eq!(json_f64(None).to_string(), "null");
+        assert_eq!(json_f64(f64::INFINITY).to_string(), "null");
+        assert_eq!(json_f64(f64::NAN).to_string(), "null");
     }
 }
