@@ -33,7 +33,9 @@ use deepnote_kv::bench::BenchSpec;
 use deepnote_sim::SimDuration;
 use deepnote_structures::Scenario;
 use deepnote_telemetry::{export_chrome_trace, schema, TraceLog};
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Minimal flag parsing: `--name value` pairs after the subcommand.
 struct Args {
@@ -60,13 +62,19 @@ impl Args {
         Ok(Args { flags })
     }
 
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.iter().find(|(n, _)| n == name) {
-            None => Ok(default),
-            Some((_, v)) => v
-                .parse()
-                .map_err(|_| format!("bad value for --{name}: {v}")),
-        }
+    fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// The flag's parsed value, or `None` if it was not given. Counts
+    /// and durations parse as `NonZero*`, so 0 is a bad value.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.string(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("bad value for --{name}: {v}"))
+            })
+            .transpose()
     }
 
     fn has(&self, name: &str) -> bool {
@@ -81,8 +89,23 @@ impl Args {
     }
 }
 
+/// A `--*-cm` flag value: a finite, non-negative length in centimetres.
+struct Cm(Distance);
+
+impl FromStr for Cm {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Cm, ()> {
+        match s.parse::<f64>() {
+            Ok(cm) if cm.is_finite() && cm >= 0.0 => Ok(Cm(Distance::from_cm(cm))),
+            _ => Err(()),
+        }
+    }
+}
+
 /// Parses an interval flag: a bare number means seconds, and `s`, `ms`,
-/// and `us` suffixes are accepted (`100ms`, `2s`, `500us`).
+/// and `us` suffixes are accepted (`100ms`, `2s`, `500us`). Zero is
+/// rejected: a zero-period scrape would re-queue itself forever.
 fn parse_interval(v: &str) -> Result<SimDuration, String> {
     let (num, nanos_per_unit) = if let Some(n) = v.strip_suffix("ms") {
         (n, 1_000_000u64)
@@ -93,10 +116,12 @@ fn parse_interval(v: &str) -> Result<SimDuration, String> {
     } else {
         (v, 1_000_000_000u64)
     };
-    let n: u64 = num
+    let n: NonZeroU64 = num
         .parse()
         .map_err(|_| format!("bad interval: {v} (try 100ms, 2s, 500us)"))?;
-    Ok(SimDuration::from_nanos(n.saturating_mul(nanos_per_unit)))
+    Ok(SimDuration::from_nanos(
+        n.get().saturating_mul(nanos_per_unit),
+    ))
 }
 
 const USAGE: &str = "\
@@ -136,13 +161,13 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     match cmd {
         "table1" => {
-            let seconds = args.get("seconds", 5u64)?;
+            let seconds = args.opt("seconds")?.map_or(5, NonZeroU64::get);
             print!("{}", report::render_table1(&range::table1(seconds)));
         }
         "table2" => {
             let spec = BenchSpec {
-                num_keys: args.get("keys", 20_000u64)?,
-                duration: SimDuration::from_secs(args.get("seconds", 10u64)?),
+                num_keys: args.opt("keys")?.map_or(20_000, NonZeroU64::get),
+                duration: SimDuration::from_secs(args.opt("seconds")?.map_or(10, NonZeroU64::get)),
                 ..BenchSpec::default()
             };
             print!("{}", report::render_table2(&range::table2(&spec)));
@@ -161,8 +186,8 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             }
         }
         "sweep" => {
-            let distance = Distance::from_cm(args.get("distance-cm", 1.0f64)?);
-            let requests = args.get("requests", 6u32)?;
+            let Cm(distance) = args.get("distance-cm", Cm(Distance::from_cm(1.0)))?;
+            let requests = args.opt("requests")?.map_or(6, NonZeroU32::get);
             let d = adaptive::remote_frequency_discovery(
                 &testbed,
                 distance,
@@ -226,8 +251,8 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             print!("{}", redundancy::render(&redundancy::mirror_study()));
         }
         "fleet" => {
-            let drives = args.get("drives", 10usize)?;
-            let spacing = Distance::from_cm(args.get("spacing-cm", 4.0f64)?);
+            let drives = args.opt("drives")?.map_or(10, NonZeroUsize::get);
+            let Cm(spacing) = args.get("spacing-cm", Cm(Distance::from_cm(4.0)))?;
             let fleet = Fleet::new(testbed, Distance::from_cm(1.0), spacing, drives);
             let report = fleet.assess(AttackParams::paper_best());
             println!(
@@ -264,7 +289,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "cluster" => {
             let placement = args.get("placement", "both".to_string())?;
-            let attack = SimDuration::from_secs(args.get("seconds", 120u64)?);
+            let attack = SimDuration::from_secs(args.opt("seconds")?.map_or(120, NonZeroU64::get));
             let chaos_name = args.get("chaos", "off".to_string())?;
             let chaos = ChaosProfile::parse(&chaos_name).ok_or_else(|| {
                 format!("bad value for --chaos: {chaos_name} (off|transient|corruption|full)")
@@ -276,8 +301,12 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             };
             let tune = |mut c: CampaignConfig| -> Result<CampaignConfig, String> {
                 c.seed = args.get("seed", c.seed)?;
-                c.workload.clients = args.get("clients", c.workload.clients)?;
-                c.cluster.num_shards = args.get("shards", c.cluster.num_shards)?;
+                c.workload.clients = args
+                    .opt("clients")?
+                    .map_or(c.workload.clients, NonZeroUsize::get);
+                c.cluster.num_shards = args
+                    .opt("shards")?
+                    .map_or(c.cluster.num_shards, NonZeroUsize::get);
                 c.telemetry.trace = trace_path.is_some();
                 c.telemetry.metrics_interval = metrics_interval;
                 // Pure performance: byte-identical reports either way

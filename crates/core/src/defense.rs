@@ -42,7 +42,7 @@ pub enum Defense {
 }
 
 impl Defense {
-    /// The defenses evaluated by the `defense_eval` example and bench.
+    /// The defenses evaluated by the `defense_eval` example and `deepnote defenses`.
     pub fn catalog() -> Vec<Defense> {
         vec![
             Defense::None,

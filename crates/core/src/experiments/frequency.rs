@@ -6,7 +6,7 @@
 //! sequential 4 KiB read and write throughput is recorded per frequency.
 //!
 //! Two evaluation modes are provided: the closed-form steady-state model
-//! (fast — used by the benches to regenerate the figure) and a measured
+//! (fast — used by `deepnote fig2` to regenerate the figure) and a measured
 //! mode that runs the actual FIO-style jobs against the mechanical drive.
 
 use crate::parallel::run_all;

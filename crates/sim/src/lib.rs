@@ -1,4 +1,4 @@
-//! Deterministic discrete-event simulation substrate for the Deep Note
+//! Deterministic virtual-time simulation substrate for the Deep Note
 //! reproduction.
 //!
 //! Every experiment in this workspace runs on *virtual time*: a shared
@@ -12,11 +12,10 @@
 //!   timestamps and durations ([`time`]).
 //! * [`Clock`] — a cheaply cloneable handle to a shared virtual clock
 //!   ([`clock`]).
-//! * [`EventQueue`] — a discrete-event scheduler for periodic daemons such
-//!   as journal commit threads and writeback flushers ([`event`]).
-//! * Statistics — [`OnlineStats`], [`Histogram`], [`RateMeter`], and
-//!   [`TimeSeries`] for measuring throughput, latency, and sweeps
-//!   ([`stats`], [`series`]).
+//! * [`SimRng`] — a seeded random stream, so every run is reproducible
+//!   per seed ([`rng`]).
+//! * Statistics — [`OnlineStats`], [`Histogram`], and [`TimeSeries`]
+//!   for measuring latency and sweeps ([`stats`], [`series`]).
 //!
 //! # Example
 //!
@@ -34,15 +33,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod clock;
-pub mod event;
 pub mod rng;
 pub mod series;
 pub mod stats;
 pub mod time;
 
 pub use clock::Clock;
-pub use event::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use series::TimeSeries;
-pub use stats::{Histogram, OnlineStats, RateMeter};
+pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

@@ -95,14 +95,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// The minimum `y` value and its `x`, or `None` if empty.
-    pub fn min_point(&self) -> Option<(f64, f64)> {
-        self.points
-            .iter()
-            .copied()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
     /// The maximum `y` value and its `x`, or `None` if empty.
     pub fn max_point(&self) -> Option<(f64, f64)> {
         self.points
@@ -188,7 +180,6 @@ mod tests {
     #[test]
     fn extremes_and_mean() {
         let s = sample_series();
-        assert_eq!(s.min_point(), Some((650.0, 0.0)));
         // Two points tie at y = 20.0; max_by keeps the last one.
         assert_eq!(s.max_point(), Some((4000.0, 20.0)));
         assert!((s.mean_y() - (20.0 + 0.5 + 0.0 + 0.2 + 19.0 + 20.0) / 6.0).abs() < 1e-12);

@@ -1,10 +1,9 @@
-//! Online statistics: running moments, latency histograms, and rate meters.
+//! Online statistics: running moments and latency histograms.
 //!
 //! These are the measurement instruments the benchmark harnesses use to
 //! produce the numbers in the paper's tables: mean/percentile latency,
 //! throughput in MB/s, and operation rates.
 
-use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Running count/mean/variance/min/max via Welford's algorithm.
@@ -275,83 +274,6 @@ impl Default for Histogram {
     }
 }
 
-/// Measures an event rate and byte throughput over virtual time.
-///
-/// # Example
-///
-/// ```
-/// use deepnote_sim::{RateMeter, SimTime, SimDuration};
-///
-/// let mut m = RateMeter::starting_at(SimTime::ZERO);
-/// m.record_bytes(4096);
-/// let t = SimTime::ZERO + SimDuration::from_millis(1);
-/// assert!((m.throughput_mb_per_s(t) - 4.096).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RateMeter {
-    start: SimTime,
-    ops: u64,
-    bytes: u64,
-}
-
-impl RateMeter {
-    /// Creates a meter whose window opens at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        RateMeter {
-            start,
-            ops: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Records one completed operation moving `bytes` bytes.
-    pub fn record_bytes(&mut self, bytes: u64) {
-        self.ops += 1;
-        self.bytes += bytes;
-    }
-
-    /// Records `n` operations with no byte movement.
-    pub fn record_ops(&mut self, n: u64) {
-        self.ops += n;
-    }
-
-    /// Operations recorded so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Bytes recorded so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Window length at instant `now`.
-    pub fn elapsed(&self, now: SimTime) -> SimDuration {
-        now.saturating_duration_since(self.start)
-    }
-
-    /// Decimal megabytes per second over the window ending at `now`.
-    /// Zero if no time has elapsed.
-    pub fn throughput_mb_per_s(&self, now: SimTime) -> f64 {
-        let secs = self.elapsed(now).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / 1e6 / secs
-        }
-    }
-
-    /// Operations per second over the window ending at `now`.
-    pub fn ops_per_s(&self, now: SimTime) -> f64 {
-        let secs = self.elapsed(now).as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,26 +399,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert_eq!(a.min_max(), Some((10.0, 1000.0)));
-    }
-
-    #[test]
-    fn rate_meter_throughput() {
-        let start = SimTime::from_secs(10);
-        let mut m = RateMeter::starting_at(start);
-        for _ in 0..250 {
-            m.record_bytes(4096);
-        }
-        let now = start + SimDuration::from_secs(1);
-        assert!((m.throughput_mb_per_s(now) - 1.024).abs() < 1e-9);
-        assert!((m.ops_per_s(now) - 250.0).abs() < 1e-9);
-        assert_eq!(m.ops(), 250);
-        assert_eq!(m.bytes(), 250 * 4096);
-    }
-
-    #[test]
-    fn rate_meter_zero_window() {
-        let m = RateMeter::starting_at(SimTime::from_secs(5));
-        assert_eq!(m.throughput_mb_per_s(SimTime::from_secs(5)), 0.0);
-        assert_eq!(m.ops_per_s(SimTime::ZERO), 0.0);
     }
 }

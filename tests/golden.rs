@@ -8,21 +8,27 @@
 //! the change and re-pin the new value printed by the failing assert.
 //!
 //! Sizes follow `tests/determinism.rs` and `tests/cluster_trace.rs`
-//! (2 s table runs, 240-key campaigns) so the gate stays cheap.
+//! (2 s table runs, 240-key campaigns) so the gate stays cheap. The §5
+//! ablations are pinned at the sizes `deepnote ablations`, `defenses`
+//! and `redundancy` print; the stealth sweep is left out (~2.5 s).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use deepnote_acoustics::{Distance, SweepPlan};
 use deepnote_cluster::prelude::*;
-use deepnote_core::experiments::{frequency, range};
+use deepnote_core::defense;
+use deepnote_core::experiments::{ablations, frequency, range, redundancy};
 use deepnote_core::report;
+use deepnote_core::testbed::Testbed;
 use deepnote_kv::bench::BenchSpec;
 use deepnote_sim::SimDuration;
+use deepnote_structures::Scenario;
 use deepnote_telemetry::export_chrome_trace;
 
 const GOLDEN_TABLE1: u64 = 0x6ce8_b9e1_d259_2a57;
 const GOLDEN_TABLE2: u64 = 0x6a8b_b00f_74df_8abe;
 const GOLDEN_FIGURE2: u64 = 0x7a1e_0010_e5fe_3d53;
+const GOLDEN_ABLATIONS: u64 = 0x3954_525a_d081_e7aa;
 const GOLDEN_DUEL_SEPARATED: u64 = 0xa8f6_11a6_573b_9cf2;
 const GOLDEN_DUEL_COLOCATED: u64 = 0x74f2_23ba_8ccc_07d2;
 const GOLDEN_CHAOS_FULL: u64 = 0xea06_d326_2eed_f3ac;
@@ -91,6 +97,24 @@ fn figure2_matches_golden() {
     let sweeps = frequency::figure2(Distance::from_cm(1.0), &SweepPlan::paper_sweep());
     let out = report::render_figure2(&sweeps);
     check("figure2", digest([out.as_str()]), GOLDEN_FIGURE2);
+}
+
+#[test]
+fn ablations_match_golden() {
+    let testbed = Testbed::paper_default(Scenario::PlasticTower);
+    let parts = [
+        report::render_water(&ablations::water_conditions()),
+        report::render_power(&ablations::attacker_power()),
+        report::render_materials(&ablations::materials()),
+        report::render_tolerance(&ablations::tolerance_sensitivity()),
+        report::render_defenses(&defense::evaluate_catalog(&testbed)),
+        redundancy::render(&redundancy::mirror_study()),
+    ];
+    check(
+        "ablations",
+        digest(parts.iter().map(String::as_str)),
+        GOLDEN_ABLATIONS,
+    );
 }
 
 #[test]
