@@ -33,9 +33,30 @@ use deepnote_kv::bench::BenchSpec;
 use deepnote_sim::SimDuration;
 use deepnote_structures::Scenario;
 use deepnote_telemetry::{export_chrome_trace, schema, TraceLog};
-use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::str::FromStr;
+
+// Ceilings for count and duration flags, so every run is finite and no
+// virtual-time sum can overflow. Each is at least 10× the largest value
+// the README, EXPERIMENTS.md, CI, the tests and the benchmark use.
+
+/// `table1 --seconds`: FIO runtime per row (the benchmark runs 20 s).
+const MAX_FIO_SECONDS: u64 = 200;
+/// `table2 --seconds`: `readwhilewriting` runtime per row (stock 10 s).
+const MAX_KV_SECONDS: u64 = 600;
+/// `table2 --keys`: preloaded keys per row (stock 20 000).
+const MAX_KEYS: u64 = 1_000_000;
+/// `cluster --seconds`: attack length, one virtual day (the benchmark
+/// runs 600 s).
+const MAX_ATTACK_SECONDS: u64 = 86_400;
+/// `fleet --drives` (stock 10), `sweep --requests` (stock 6), and
+/// `cluster --clients` (at most 12) and `--shards` (stock 12).
+const MAX_COUNT: u64 = 1_000;
+/// Floor for `cluster --metrics-interval` (the shortest in use is
+/// 100 ms): each scrape walks every node, so the interval bounds the
+/// scrape count.
+const MIN_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// Minimal flag parsing: `--name value` pairs after the subcommand.
 struct Args {
@@ -62,19 +83,25 @@ impl Args {
         Ok(Args { flags })
     }
 
+    /// The flag's parsed value, or `default` if it was not given.
     fn get<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        Ok(self.opt(name)?.unwrap_or(default))
+        self.string(name).map_or(Ok(default), |v| {
+            v.parse()
+                .map_err(|_| format!("bad value for --{name}: {v}"))
+        })
     }
 
-    /// The flag's parsed value, or `None` if it was not given. Counts
-    /// and durations parse as `NonZero*`, so 0 is a bad value.
-    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        self.string(name)
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("bad value for --{name}: {v}"))
-            })
-            .transpose()
+    /// A count or duration flag in `1..=max`, or `default` if it was
+    /// not given.
+    fn count(&self, name: &str, default: u64, max: u64) -> Result<u64, String> {
+        let Some(v) = self.string(name) else {
+            return Ok(default);
+        };
+        match v.parse::<NonZeroU64>() {
+            Ok(n) if n.get() <= max => Ok(n.get()),
+            Ok(_) => Err(format!("bad value for --{name}: {v} (at most {max})")),
+            Err(_) => Err(format!("bad value for --{name}: {v}")),
+        }
     }
 
     fn has(&self, name: &str) -> bool {
@@ -105,7 +132,8 @@ impl FromStr for Cm {
 
 /// Parses an interval flag: a bare number means seconds, and `s`, `ms`,
 /// and `us` suffixes are accepted (`100ms`, `2s`, `500us`). Zero is
-/// rejected: a zero-period scrape would re-queue itself forever.
+/// rejected: a zero-period scrape would re-queue itself forever; so is
+/// anything under `MIN_INTERVAL`.
 fn parse_interval(v: &str) -> Result<SimDuration, String> {
     let (num, nanos_per_unit) = if let Some(n) = v.strip_suffix("ms") {
         (n, 1_000_000u64)
@@ -118,10 +146,15 @@ fn parse_interval(v: &str) -> Result<SimDuration, String> {
     };
     let n: NonZeroU64 = num
         .parse()
-        .map_err(|_| format!("bad interval: {v} (try 100ms, 2s, 500us)"))?;
-    Ok(SimDuration::from_nanos(
-        n.get().saturating_mul(nanos_per_unit),
-    ))
+        .map_err(|_| format!("bad interval: {v} for --metrics-interval (try 100ms, 2s, 500us)"))?;
+    let interval = SimDuration::from_nanos(n.get().saturating_mul(nanos_per_unit));
+    if interval < MIN_INTERVAL {
+        return Err(format!(
+            "bad interval: {v} for --metrics-interval (at least {} ms)",
+            MIN_INTERVAL.as_millis()
+        ));
+    }
+    Ok(interval)
 }
 
 const USAGE: &str = "\
@@ -161,13 +194,13 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     match cmd {
         "table1" => {
-            let seconds = args.opt("seconds")?.map_or(5, NonZeroU64::get);
+            let seconds = args.count("seconds", 5, MAX_FIO_SECONDS)?;
             print!("{}", report::render_table1(&range::table1(seconds)));
         }
         "table2" => {
             let spec = BenchSpec {
-                num_keys: args.opt("keys")?.map_or(20_000, NonZeroU64::get),
-                duration: SimDuration::from_secs(args.opt("seconds")?.map_or(10, NonZeroU64::get)),
+                num_keys: args.count("keys", 20_000, MAX_KEYS)?,
+                duration: SimDuration::from_secs(args.count("seconds", 10, MAX_KV_SECONDS)?),
                 ..BenchSpec::default()
             };
             print!("{}", report::render_table2(&range::table2(&spec)));
@@ -187,7 +220,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "sweep" => {
             let Cm(distance) = args.get("distance-cm", Cm(Distance::from_cm(1.0)))?;
-            let requests = args.opt("requests")?.map_or(6, NonZeroU32::get);
+            let requests = args.count("requests", 6, MAX_COUNT)? as u32;
             let d = adaptive::remote_frequency_discovery(
                 &testbed,
                 distance,
@@ -251,7 +284,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             print!("{}", redundancy::render(&redundancy::mirror_study()));
         }
         "fleet" => {
-            let drives = args.opt("drives")?.map_or(10, NonZeroUsize::get);
+            let drives = args.count("drives", 10, MAX_COUNT)? as usize;
             let Cm(spacing) = args.get("spacing-cm", Cm(Distance::from_cm(4.0)))?;
             let fleet = Fleet::new(testbed, Distance::from_cm(1.0), spacing, drives);
             let report = fleet.assess(AttackParams::paper_best());
@@ -289,7 +322,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "cluster" => {
             let placement = args.get("placement", "both".to_string())?;
-            let attack = SimDuration::from_secs(args.opt("seconds")?.map_or(120, NonZeroU64::get));
+            let attack = SimDuration::from_secs(args.count("seconds", 120, MAX_ATTACK_SECONDS)?);
             let chaos_name = args.get("chaos", "off".to_string())?;
             let chaos = ChaosProfile::parse(&chaos_name).ok_or_else(|| {
                 format!("bad value for --chaos: {chaos_name} (off|transient|corruption|full)")
@@ -301,12 +334,10 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             };
             let tune = |mut c: CampaignConfig| -> Result<CampaignConfig, String> {
                 c.seed = args.get("seed", c.seed)?;
-                c.workload.clients = args
-                    .opt("clients")?
-                    .map_or(c.workload.clients, NonZeroUsize::get);
-                c.cluster.num_shards = args
-                    .opt("shards")?
-                    .map_or(c.cluster.num_shards, NonZeroUsize::get);
+                c.workload.clients =
+                    args.count("clients", c.workload.clients as u64, MAX_COUNT)? as usize;
+                c.cluster.num_shards =
+                    args.count("shards", c.cluster.num_shards as u64, MAX_COUNT)? as usize;
                 c.telemetry.trace = trace_path.is_some();
                 c.telemetry.metrics_interval = metrics_interval;
                 // Pure performance: byte-identical reports either way

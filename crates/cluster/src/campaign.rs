@@ -19,7 +19,6 @@ use crate::chaos::ChaosProfile;
 use crate::client::{ClientPolicy, ResilientClient};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::error::ClusterError;
-use crate::integrity::IntegrityConfig;
 use crate::metrics::{ClusterMetrics, PhaseMetrics};
 use crate::placement::PlacementPolicy;
 use crate::report::{CampaignReport, EarlyWarning};
@@ -28,8 +27,7 @@ use crate::workload::{ClientPool, WorkloadSpec};
 use deepnote_core::parallel::try_run_all;
 use deepnote_sim::{SimDuration, SimRng, SimTime};
 use deepnote_telemetry::{
-    BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, SloPolicy, Tracer, Value,
-    CONTROL_TRACK,
+    BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, Tracer, Value, CONTROL_TRACK,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -44,34 +42,34 @@ const CHAOS_SALT: u64 = 0xC4A0_5EED_D15C_0DE5;
 /// (backoff jitter), independent of both workload and chaos streams.
 const CLIENT_SALT: u64 = 0xBAC0_FF5A_17ED_B175;
 
+/// Availability sampling window.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(5);
+/// Interval between background repair steps.
+const REPAIR_EVERY: SimDuration = SimDuration::from_millis(200);
+/// Keys moved per repair step.
+const REPAIR_BATCH: usize = 32;
+/// Interval between background scrub steps (only runs when the
+/// cluster's integrity machinery is on).
+const SCRUB_EVERY: SimDuration = SimDuration::from_millis(200);
+/// Keys examined per scrub step.
+const SCRUB_BATCH: usize = 8;
+/// Ring-buffer capacity for trace events; when full, the earliest
+/// window is kept and later events are counted as dropped.
+const TRACE_CAP: usize = 1 << 16;
+
 /// Observability settings for one campaign run. Everything here is a
 /// pure observer: enabling tracing or metrics scraping never changes
-/// what the campaign does, only what it records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// what the campaign does, only what it records. The SLO burn-rate
+/// monitor is always on: it only observes op outcomes the campaign
+/// already records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Record a cross-layer trace (spans and instants from every
     /// instrumented layer, exportable as Chrome trace-event JSON).
     pub trace: bool,
-    /// Ring-buffer capacity for trace events; when full, the earliest
-    /// window is kept and later events are counted as dropped.
-    pub trace_cap: usize,
     /// Scrape the unified metrics registry at this fixed interval
     /// (`None` disables scraping; the report's series come out empty).
     pub metrics_interval: Option<SimDuration>,
-    /// Burn-rate alerting policy for the SLO monitor (always on — the
-    /// monitor only observes op outcomes the campaign already records).
-    pub slo: SloPolicy,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            trace: false,
-            trace_cap: 1 << 16,
-            metrics_interval: None,
-            slo: SloPolicy::default(),
-        }
-    }
 }
 
 /// Everything one campaign run needs.
@@ -85,28 +83,15 @@ pub struct CampaignConfig {
     pub workload: WorkloadSpec,
     /// What the adversary transmits, and when.
     pub timeline: AttackTimeline,
-    /// Latency bound counted as an SLO pass.
-    pub slo_latency: SimDuration,
-    /// Availability sampling window.
-    pub sample_every: SimDuration,
-    /// Interval between background repair steps.
-    pub repair_every: SimDuration,
-    /// Keys moved per repair step.
-    pub repair_batch: usize,
     /// Seeded fault injection applied to every node.
     pub chaos: ChaosProfile,
     /// Route operations through the resilient client (`None` keeps the
     /// raw one-shot quorum path).
     pub client: Option<ClientPolicy>,
-    /// Interval between background scrub steps (only runs when the
-    /// cluster's integrity config enables scrubbing).
-    pub scrub_every: SimDuration,
-    /// Keys examined per scrub step.
-    pub scrub_batch: usize,
     /// Check every successful read against the workload oracle and
     /// count wrong answers in the integrity stats.
     pub verify_responses: bool,
-    /// Tracing, metrics scraping, and SLO alerting knobs.
+    /// Tracing and metrics scraping.
     pub telemetry: TelemetryConfig,
     /// Precompute the acoustic transfer path for every tone the
     /// timeline can mount (on in every stock config). Pure performance:
@@ -126,14 +111,8 @@ impl CampaignConfig {
             cluster: ClusterConfig::three_racks(placement),
             workload: WorkloadSpec::default(),
             timeline: AttackTimeline::paper_campaign(attack),
-            slo_latency: SimDuration::from_millis(50),
-            sample_every: SimDuration::from_secs(5),
-            repair_every: SimDuration::from_millis(200),
-            repair_batch: 32,
             chaos: ChaosProfile::off(),
             client: None,
-            scrub_every: SimDuration::from_millis(200),
-            scrub_batch: 8,
             verify_responses: false,
             telemetry: TelemetryConfig::default(),
             transfer_cache: true,
@@ -156,8 +135,8 @@ impl CampaignConfig {
         let mut hardened = Self::paper_duel(placement, attack);
         hardened.label = format!("{}+defenses", chaos.label);
         hardened.chaos = chaos.clone();
-        hardened.cluster.integrity = IntegrityConfig::full();
-        hardened.client = Some(ClientPolicy::standard());
+        hardened.cluster.integrity = true;
+        hardened.client = Some(ClientPolicy);
         hardened.verify_responses = true;
         let mut naive = Self::paper_duel(placement, attack);
         naive.label = format!("{}+naive", chaos.label);
@@ -415,12 +394,12 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     // Telemetry attaches after provisioning so preload traffic (off the
     // cluster timeline) never lands in the trace.
     let tracer = if config.telemetry.trace {
-        Tracer::ring(config.telemetry.trace_cap)
+        Tracer::ring(TRACE_CAP)
     } else {
         Tracer::disabled()
     };
     cluster.set_tracer(tracer.clone());
-    let mut burn = BurnRateMonitor::new(config.telemetry.slo);
+    let mut burn = BurnRateMonitor::new();
     let mut scraper = config.telemetry.metrics_interval.map(|_| {
         let n = cluster.nodes().len();
         Scraper::new(n)
@@ -429,9 +408,10 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     let mut rng = SimRng::seeded(config.seed);
     let mut pool = ClientPool::new(&spec, &mut rng);
     let num_nodes = cluster.nodes().len();
-    let mut driver = config.client.map(|policy| {
-        ResilientClient::new(num_nodes, policy, SimRng::seeded(config.seed ^ CLIENT_SALT))
-    });
+    let mut driver = config
+        .client
+        .is_some()
+        .then(|| ResilientClient::new(num_nodes, SimRng::seeded(config.seed ^ CLIENT_SALT)));
     let mut oracle_checked = 0u64;
     let mut oracle_wrong = 0u64;
 
@@ -445,7 +425,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             PhaseMetrics::new(p.label.clone(), start, start + p.duration)
         })
         .collect();
-    let mut metrics = ClusterMetrics::new(phase_records, config.slo_latency);
+    let mut metrics = ClusterMetrics::new(phase_records);
     let mut max_unavailable_by_phase = vec![0usize; config.timeline.phases().len()];
 
     let end = SimTime::ZERO + config.timeline.total();
@@ -458,11 +438,11 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         q.push(config.timeline.phase_start(i), EvKind::PhaseChange(i));
     }
     q.push(SimTime::ZERO, EvKind::Heartbeat);
-    q.push(SimTime::ZERO + config.repair_every, EvKind::Repair);
-    if config.cluster.integrity.scrub && config.cluster.integrity.checksums {
-        q.push(SimTime::ZERO + config.scrub_every, EvKind::Scrub);
+    q.push(SimTime::ZERO + REPAIR_EVERY, EvKind::Repair);
+    if config.cluster.integrity {
+        q.push(SimTime::ZERO + SCRUB_EVERY, EvKind::Scrub);
     }
-    q.push(SimTime::ZERO + config.sample_every, EvKind::Sample);
+    q.push(SimTime::ZERO + SAMPLE_EVERY, EvKind::Sample);
     if config.telemetry.metrics_interval.is_some() {
         q.push(SimTime::ZERO, EvKind::Scrape);
     }
@@ -498,12 +478,12 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                 q.push(ev.at + heartbeat_every, EvKind::Heartbeat);
             }
             EvKind::Repair => {
-                cluster.repair_step(ev.at, config.repair_batch);
-                q.push(ev.at + config.repair_every, EvKind::Repair);
+                cluster.repair_step(ev.at, REPAIR_BATCH);
+                q.push(ev.at + REPAIR_EVERY, EvKind::Repair);
             }
             EvKind::Scrub => {
-                cluster.scrub_step(ev.at, config.scrub_batch);
-                q.push(ev.at + config.scrub_every, EvKind::Scrub);
+                cluster.scrub_step(ev.at, SCRUB_BATCH);
+                q.push(ev.at + SCRUB_EVERY, EvKind::Scrub);
             }
             EvKind::Sample => {
                 metrics.sample_availability(ev.at);
@@ -514,7 +494,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                     first_quorum_loss = Some(ev.at);
                 }
                 burn.tick(ev.at);
-                q.push(ev.at + config.sample_every, EvKind::Sample);
+                q.push(ev.at + SAMPLE_EVERY, EvKind::Sample);
             }
             EvKind::Client(i) => {
                 let op = pool.next_op(i, &spec);

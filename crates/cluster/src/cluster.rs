@@ -9,13 +9,13 @@
 
 use crate::chaos::ChaosProfile;
 use crate::error::ClusterError;
-use crate::health::{HealthConfig, HealthMonitor, Transition};
-use crate::integrity::{self, IntegrityConfig, IntegrityStats, ScrubStats, Scrubber};
+use crate::health::{HealthConfig, HealthMonitor, Transition, FAILOVER_AFTER};
+use crate::integrity::{self, IntegrityStats, ScrubStats, Scrubber};
 use crate::node::{RestartOutcome, StorageNode};
 use crate::placement::{shard_of, NodeId, PlacementPolicy, RackSpec, ShardId, ShardMap, Topology};
 use crate::replication::{
     quorum_execute, OpKind, QuorumOutcome, RepairQueue, RepairReason, RepairStats,
-    ReplicationConfig,
+    ReplicationConfig, REQUEST_TIMEOUT,
 };
 use crate::workload::WorkloadSpec;
 use deepnote_acoustics::{Distance, Frequency, OperatingPoint};
@@ -29,11 +29,12 @@ use deepnote_structures::Scenario;
 use deepnote_telemetry::{Layer, Tracer, Value, CONTROL_TRACK};
 use serde::{Deserialize, Serialize};
 
+/// Enclosure/mount scenario for the testbed physics.
+const SCENARIO: Scenario = Scenario::PlasticTower;
+
 /// Everything needed to stand a cluster up.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterConfig {
-    /// Enclosure/mount scenario for the testbed physics.
-    pub scenario: Scenario,
     /// Physical racks, nearest to the attack point first.
     pub racks: Vec<RackSpec>,
     /// Number of shards the keyspace hashes onto.
@@ -44,8 +45,10 @@ pub struct ClusterConfig {
     pub replication: ReplicationConfig,
     /// Failure-detection settings.
     pub health: HealthConfig,
-    /// End-to-end integrity machinery (off by default).
-    pub integrity: IntegrityConfig,
+    /// End-to-end integrity: seal values on write, verify every replica
+    /// ack on read, rewrite corrupt acks inline from a healthy copy, and
+    /// run the background scrubber (off by default).
+    pub integrity: bool,
 }
 
 impl ClusterConfig {
@@ -54,7 +57,6 @@ impl ClusterConfig {
     /// three nodes each, majority quorums over three replicas.
     pub fn three_racks(placement: PlacementPolicy) -> Self {
         ClusterConfig {
-            scenario: Scenario::PlasticTower,
             racks: vec![
                 RackSpec {
                     distance_cm: 1.0,
@@ -76,7 +78,7 @@ impl ClusterConfig {
             placement,
             replication: ReplicationConfig::majority(3),
             health: HealthConfig::default(),
-            integrity: IntegrityConfig::off(),
+            integrity: false,
         }
     }
 
@@ -159,9 +161,9 @@ impl Cluster {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let monitor = HealthMonitor::new(nodes.len(), config.health);
+        let monitor = HealthMonitor::new(nodes.len());
         Ok(Cluster {
-            testbed: Testbed::paper_default(config.scenario),
+            testbed: Testbed::paper_default(SCENARIO),
             topo,
             nodes,
             map,
@@ -215,11 +217,6 @@ impl Cluster {
         &self.nodes
     }
 
-    /// The shard map (report access).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// The health monitor's current beliefs.
     pub fn monitor(&self) -> &HealthMonitor {
         &self.monitor
@@ -257,7 +254,7 @@ impl Cluster {
         let mut per_node: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); self.nodes.len()];
         for i in 0..spec.num_keys {
             let key = spec.key(i);
-            let value = if self.config.integrity.checksums {
+            let value = if self.config.integrity {
                 integrity::seal(&key, &spec.value(i))
             } else {
                 spec.value(i)
@@ -403,10 +400,10 @@ impl Cluster {
 
     /// [`Cluster::execute`] with an optional client-side deny mask
     /// (circuit breakers): `denied[n]` suppresses dispatch to node `n`
-    /// on top of the health monitor's belief. With checksums on, writes
+    /// on top of the health monitor's belief. With integrity on, writes
     /// are sealed and every read ack is verified end-to-end; corrupt
-    /// acks are never served and (with read-repair on) are rewritten
-    /// inline from the earliest verified copy.
+    /// acks are never served and are rewritten inline from the earliest
+    /// verified copy.
     pub fn execute_masked(
         &mut self,
         is_read: bool,
@@ -426,7 +423,7 @@ impl Cluster {
         }
         let kind = if is_read { OpKind::Read } else { OpKind::Write };
         let sealed;
-        let payload = if !is_read && self.config.integrity.checksums {
+        let payload = if !is_read && self.config.integrity {
             sealed = integrity::seal(key, value);
             sealed.as_slice()
         } else {
@@ -445,7 +442,7 @@ impl Cluster {
         for &n in &outcome.fatalities.clone() {
             self.note_fatal(n, now);
         }
-        if is_read && self.config.integrity.checksums {
+        if is_read && self.config.integrity {
             self.verify_read(key, now, &mut outcome);
         }
         if !outcome.ok && self.tracer.enabled(Layer::Cluster) {
@@ -479,10 +476,10 @@ impl Cluster {
     }
 
     /// End-to-end verification of a quorum read: serve only the
-    /// earliest verified copy, count corrupt acks, and (optionally)
-    /// rewrite them inline. A read that acked a quorum but produced no
-    /// verifiable value is downgraded to a failure — serving bytes the
-    /// checksum rejects is exactly what this layer exists to prevent.
+    /// earliest verified copy, count corrupt acks, and rewrite them
+    /// inline. A read that acked a quorum but produced no verifiable
+    /// value is downgraded to a failure — serving bytes the checksum
+    /// rejects is exactly what this layer exists to prevent.
     fn verify_read(&mut self, key: &[u8], now: SimTime, outcome: &mut QuorumOutcome) {
         if !outcome.ok {
             return;
@@ -508,16 +505,14 @@ impl Cluster {
         match healthy {
             Some(sealed_copy) => {
                 outcome.value = integrity::unseal(key, &sealed_copy).map(<[u8]>::to_vec);
-                if self.config.integrity.read_repair {
-                    for n in corrupt {
-                        let w = self.nodes[n].serve_put(now, key, &sealed_copy);
-                        if w.ok {
-                            self.integrity.read_repairs += 1;
-                        } else {
-                            self.integrity.read_repair_failures += 1;
-                            if w.fatal {
-                                self.note_fatal(n, now);
-                            }
+                for n in corrupt {
+                    let w = self.nodes[n].serve_put(now, key, &sealed_copy);
+                    if w.ok {
+                        self.integrity.read_repairs += 1;
+                    } else {
+                        self.integrity.read_repair_failures += 1;
+                        if w.fatal {
+                            self.note_fatal(n, now);
                         }
                     }
                 }
@@ -538,11 +533,14 @@ impl Cluster {
 
     /// Integrates a client-side circuit-breaker trip: evidence of
     /// repeated failures the heartbeat path may not have seen yet. The
-    /// trip is fed to the monitor as a missed probe, so persistent
+    /// trip is fed to the monitor as a refused probe, so persistent
     /// tripping marks the node down without waiting for heartbeats.
     pub fn report_breaker_trip(&mut self, node: NodeId, now: SimTime) {
-        let miss = self.monitor.config().probe_timeout + SimDuration::from_millis(1);
-        if self.monitor.observe_probe(node, now, miss, false) == Transition::WentDown {
+        if self
+            .monitor
+            .observe_probe(node, now, SimDuration::ZERO, false)
+            == Transition::WentDown
+        {
             self.note(now, format!("node {node} marked down (circuit breaker)"));
             self.mark_first_down(node, now);
             self.trace_event(
@@ -653,9 +651,8 @@ impl Cluster {
     }
 
     fn attempt_failovers(&mut self, now: SimTime) {
-        let failover_after = self.monitor.config().failover_after;
         for n in 0..self.nodes.len() {
-            if self.monitor.down_for(n, now) < failover_after {
+            if self.monitor.down_for(n, now) < FAILOVER_AFTER {
                 continue;
             }
             let up = self.monitor.up_mask();
@@ -711,8 +708,7 @@ impl Cluster {
             &self.shard_keys,
             batch,
             now,
-            &self.config.replication,
-            self.config.integrity.checksums,
+            self.config.integrity,
         )
     }
 
@@ -726,16 +722,16 @@ impl Cluster {
     /// (bandwidth is paid and accounted), corrupt or missing copies are
     /// classified against a verified sibling, and repair jobs are
     /// enqueued for the damage. Returns keys examined. No-op unless the
-    /// cluster runs checksums with scrubbing enabled.
+    /// cluster runs its integrity machinery.
     pub fn scrub_step(&mut self, now: SimTime, budget: usize) -> u64 {
-        if !self.config.integrity.scrub || !self.config.integrity.checksums {
+        if !self.config.integrity {
             return 0;
         }
         let total_keys: usize = self.shard_keys.iter().map(Vec::len).sum();
         if total_keys == 0 {
             return 0;
         }
-        let deadline = now + self.config.replication.request_timeout;
+        let deadline = now + REQUEST_TIMEOUT;
         let mut t = now;
         let mut scanned = 0u64;
         while scanned < budget as u64 {
@@ -819,7 +815,8 @@ impl Cluster {
 
     /// Shards currently below their write quorum (no write can succeed).
     pub fn unavailable_shards(&self, now: SimTime) -> usize {
-        let deadline = now + self.config.replication.request_timeout;
+        let deadline = now + REQUEST_TIMEOUT;
+        let quorum = self.config.replication.quorum();
         (0..self.map.shards())
             .filter(|&s| {
                 let serviceable = self
@@ -828,7 +825,7 @@ impl Cluster {
                     .iter()
                     .filter(|&&n| self.monitor.is_up(n) && self.nodes[n].busy_until() <= deadline)
                     .count();
-                serviceable < self.config.replication.write_quorum
+                serviceable < quorum
             })
             .count()
     }

@@ -10,29 +10,26 @@
 use deepnote_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// A probe slower than this is a miss.
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// Consecutive misses before a node is marked down.
+const MISS_THRESHOLD: u32 = 2;
+/// Down-time after which a node's replica slots are failed over.
+pub const FAILOVER_AFTER: SimDuration = SimDuration::from_secs(10);
+/// Minimum spacing between restart attempts on a crashed node.
+const RESTART_BACKOFF: SimDuration = SimDuration::from_secs(5);
+
 /// Health-monitor tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {
     /// Interval between heartbeat rounds.
     pub heartbeat_every: SimDuration,
-    /// A probe slower than this is a miss.
-    pub probe_timeout: SimDuration,
-    /// Consecutive misses before a node is marked down.
-    pub miss_threshold: u32,
-    /// Down-time after which a node's replica slots are failed over.
-    pub failover_after: SimDuration,
-    /// Minimum spacing between restart attempts on a crashed node.
-    pub restart_backoff: SimDuration,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             heartbeat_every: SimDuration::from_millis(500),
-            probe_timeout: SimDuration::from_millis(250),
-            miss_threshold: 2,
-            failover_after: SimDuration::from_secs(10),
-            restart_backoff: SimDuration::from_secs(5),
         }
     }
 }
@@ -68,24 +65,17 @@ pub enum Transition {
 /// Tracks probe history and health per node.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    config: HealthConfig,
     states: Vec<NodeHealth>,
     last_restart_attempt: Vec<Option<SimTime>>,
 }
 
 impl HealthMonitor {
     /// A monitor that believes all `nodes` are up.
-    pub fn new(nodes: usize, config: HealthConfig) -> Self {
+    pub fn new(nodes: usize) -> Self {
         HealthMonitor {
-            config,
             states: vec![NodeHealth::Up; nodes],
             last_restart_attempt: vec![None; nodes],
         }
-    }
-
-    /// The tuning in effect.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
     }
 
     /// Current belief about `node`.
@@ -113,33 +103,20 @@ impl HealthMonitor {
         rtt: SimDuration,
         ok: bool,
     ) -> Transition {
-        let missed = !ok || rtt > self.config.probe_timeout;
+        let missed = !ok || rtt > PROBE_TIMEOUT;
         let state = &mut self.states[node];
         if missed {
-            match *state {
-                NodeHealth::Down { .. } => Transition::None,
-                NodeHealth::Up => {
-                    *state = if self.config.miss_threshold <= 1 {
-                        NodeHealth::Down { since: now }
-                    } else {
-                        NodeHealth::Suspect { misses: 1 }
-                    };
-                    if matches!(*state, NodeHealth::Down { .. }) {
-                        Transition::WentDown
-                    } else {
-                        Transition::None
-                    }
-                }
-                NodeHealth::Suspect { misses } => {
-                    let misses = misses + 1;
-                    if misses >= self.config.miss_threshold {
-                        *state = NodeHealth::Down { since: now };
-                        Transition::WentDown
-                    } else {
-                        *state = NodeHealth::Suspect { misses };
-                        Transition::None
-                    }
-                }
+            let misses = match *state {
+                NodeHealth::Down { .. } => return Transition::None,
+                NodeHealth::Suspect { misses } => misses + 1,
+                NodeHealth::Up => 1,
+            };
+            if misses >= MISS_THRESHOLD {
+                *state = NodeHealth::Down { since: now };
+                Transition::WentDown
+            } else {
+                *state = NodeHealth::Suspect { misses };
+                Transition::None
             }
         } else {
             match *state {
@@ -183,8 +160,8 @@ impl HealthMonitor {
             return false;
         }
         let due = match self.last_restart_attempt[node] {
-            None => self.down_for(node, now) >= self.config.restart_backoff,
-            Some(last) => now.saturating_duration_since(last) >= self.config.restart_backoff,
+            None => self.down_for(node, now) >= RESTART_BACKOFF,
+            Some(last) => now.saturating_duration_since(last) >= RESTART_BACKOFF,
         };
         if due {
             self.last_restart_attempt[node] = Some(now);
@@ -198,14 +175,18 @@ mod tests {
     use super::*;
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(3, HealthConfig::default())
+        HealthMonitor::new(3)
     }
 
     #[test]
     fn misses_accumulate_to_down() {
         let mut m = monitor();
         let t = SimTime::from_secs(1);
-        let slow = SimDuration::from_secs(1);
+        // The probe timeout is 250 ms, inclusive.
+        let on_time = SimDuration::from_millis(250);
+        assert_eq!(m.observe_probe(0, t, on_time, true), Transition::None);
+        assert_eq!(m.state(0), NodeHealth::Up);
+        let slow = SimDuration::from_micros(250_001);
         assert_eq!(m.observe_probe(0, t, slow, true), Transition::None);
         assert_eq!(m.state(0), NodeHealth::Suspect { misses: 1 });
         assert_eq!(m.observe_probe(0, t, slow, true), Transition::WentDown);
@@ -253,12 +234,13 @@ mod tests {
     fn restart_slots_respect_backoff() {
         let mut m = monitor();
         m.mark_down(1, SimTime::ZERO);
-        // Too soon after going down.
+        // Too soon after going down: the backoff is 5 s.
         assert!(!m.take_restart_slot(1, SimTime::from_secs(1)));
-        assert!(m.take_restart_slot(1, SimTime::from_secs(6)));
+        assert!(!m.take_restart_slot(1, SimTime::from_nanos(4_999_999_999)));
+        assert!(m.take_restart_slot(1, SimTime::from_secs(5)));
         // Backoff applies between attempts.
         assert!(!m.take_restart_slot(1, SimTime::from_secs(8)));
-        assert!(m.take_restart_slot(1, SimTime::from_secs(12)));
+        assert!(m.take_restart_slot(1, SimTime::from_secs(10)));
         // Up nodes never get a slot.
         assert!(!m.take_restart_slot(0, SimTime::from_secs(60)));
     }

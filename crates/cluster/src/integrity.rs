@@ -59,33 +59,6 @@ pub fn verify(key: &[u8], sealed: &[u8]) -> bool {
     unseal(key, sealed).is_some()
 }
 
-/// Which integrity machinery a cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct IntegrityConfig {
-    /// Seal values on write and verify every replica ack on read.
-    pub checksums: bool,
-    /// On a corrupt ack, rewrite the replica from a healthy copy inline.
-    pub read_repair: bool,
-    /// Run the background scrubber (requires `checksums`).
-    pub scrub: bool,
-}
-
-impl IntegrityConfig {
-    /// No end-to-end integrity (the legacy trusting cluster).
-    pub fn off() -> Self {
-        IntegrityConfig::default()
-    }
-
-    /// Checksums, read-repair, and scrubbing all on.
-    pub fn full() -> Self {
-        IntegrityConfig {
-            checksums: true,
-            read_repair: true,
-            scrub: true,
-        }
-    }
-}
-
 /// Integrity outcomes observed on the serving path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IntegrityStats {

@@ -70,7 +70,6 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, ClusterConfig};
     pub use crate::error::ClusterError;
     pub use crate::health::HealthConfig;
-    pub use crate::integrity::IntegrityConfig;
     pub use crate::metrics::{ClusterMetrics, ResilienceStats};
     pub use crate::placement::{PlacementPolicy, RackSpec};
     pub use crate::replication::ReplicationConfig;

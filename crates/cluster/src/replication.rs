@@ -18,30 +18,26 @@ use deepnote_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// Coordinator-side deadline for collecting acks.
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+
 /// Replication tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReplicationConfig {
     /// Replicas per shard (R).
     pub replication: usize,
-    /// Acks needed for a write to succeed (W).
-    pub write_quorum: usize,
-    /// Acks needed for a read to succeed.
-    pub read_quorum: usize,
-    /// Coordinator-side deadline for collecting acks.
-    pub request_timeout: SimDuration,
 }
 
 impl ReplicationConfig {
     /// Majority quorums over `replication` replicas.
     pub fn majority(replication: usize) -> Self {
         assert!(replication > 0);
-        let q = replication / 2 + 1;
-        ReplicationConfig {
-            replication,
-            write_quorum: q,
-            read_quorum: q,
-            request_timeout: SimDuration::from_millis(250),
-        }
+        ReplicationConfig { replication }
+    }
+
+    /// Acks a read or a write needs to succeed: a majority of R.
+    pub fn quorum(&self) -> usize {
+        self.replication / 2 + 1
     }
 }
 
@@ -114,11 +110,8 @@ pub fn quorum_execute(
     now: SimTime,
     config: &ReplicationConfig,
 ) -> QuorumOutcome {
-    let deadline = now + config.request_timeout;
-    let quorum = match kind {
-        OpKind::Read => config.read_quorum,
-        OpKind::Write => config.write_quorum,
-    };
+    let deadline = now + REQUEST_TIMEOUT;
+    let quorum = config.quorum();
     let mut replies: Vec<ReplicaReply> = Vec::new();
     let mut attempted = 0;
     let mut fatalities = Vec::new();
@@ -149,7 +142,7 @@ pub fn quorum_execute(
             .filter(|r| r.ok)
             .nth(quorum - 1)
             .map(|r| r.done.saturating_duration_since(now))
-            .unwrap_or(config.request_timeout); // unreachable: acks >= quorum
+            .unwrap_or(REQUEST_TIMEOUT); // unreachable: acks >= quorum
         let value = replies
             .iter()
             .find_map(|r| if r.ok { r.value.clone() } else { None });
@@ -166,7 +159,7 @@ pub fn quorum_execute(
         let latency = if attempted == 0 {
             FAIL_FAST
         } else {
-            config.request_timeout
+            REQUEST_TIMEOUT
         };
         QuorumOutcome {
             ok: false,
@@ -280,10 +273,9 @@ impl RepairQueue {
         shard_keys: &[Vec<Vec<u8>>],
         batch: usize,
         now: SimTime,
-        config: &ReplicationConfig,
         checksums: bool,
     ) -> u64 {
-        let deadline = now + config.request_timeout;
+        let deadline = now + REQUEST_TIMEOUT;
         // Find the first runnable job: target serviceable and some other
         // live replica to copy from.
         let runnable = (0..self.jobs.len()).find(|&i| {
@@ -493,7 +485,7 @@ mod tests {
         );
         assert!(!w.ok);
         assert_eq!(w.attempted, 0);
-        assert!(w.latency < cfg.request_timeout);
+        assert!(w.latency < REQUEST_TIMEOUT);
     }
 
     #[test]
@@ -513,7 +505,7 @@ mod tests {
         );
         assert!(!w.ok);
         assert_eq!(w.acks, 1);
-        assert_eq!(w.latency, cfg.request_timeout);
+        assert_eq!(w.latency, REQUEST_TIMEOUT);
     }
 
     #[test]
@@ -542,10 +534,9 @@ mod tests {
         q.enqueue(0, 2, RepairReason::Failover);
         assert_eq!(q.pending(), 1);
         let up = vec![true; 3];
-        let cfg = ReplicationConfig::majority(2);
         let mut total = 0;
         for _ in 0..8 {
-            total += q.step(&mut ns, &map, &up, &shard_keys, 4, t, &cfg, false);
+            total += q.step(&mut ns, &map, &up, &shard_keys, 4, t, false);
             t += SimDuration::from_millis(100);
         }
         assert_eq!(total, 10);
@@ -573,17 +564,7 @@ mod tests {
         q.enqueue(0, 1, RepairReason::Failover);
         // The only source (node 0) is down: nothing moves, job stays.
         let up = vec![false, true];
-        let cfg = ReplicationConfig::majority(1);
-        let moved = q.step(
-            &mut ns,
-            &map,
-            &up,
-            &shard_keys,
-            8,
-            SimTime::ZERO,
-            &cfg,
-            false,
-        );
+        let moved = q.step(&mut ns, &map, &up, &shard_keys, 8, SimTime::ZERO, false);
         assert_eq!(moved, 0);
         assert_eq!(q.pending(), 1);
     }
@@ -610,11 +591,10 @@ mod tests {
         let mut q = RepairQueue::new();
         q.enqueue(0, 2, RepairReason::Scrub);
         let up = vec![true; 3];
-        let cfg = ReplicationConfig::majority(3);
         let mut t = SimTime::from_secs(1);
         let mut moved = 0;
         for _ in 0..4 {
-            moved += q.step(&mut ns, &map, &up, &shard_keys, 4, t, &cfg, true);
+            moved += q.step(&mut ns, &map, &up, &shard_keys, 4, t, true);
             t += SimDuration::from_millis(100);
         }
         assert_eq!(moved, 1);

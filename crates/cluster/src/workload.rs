@@ -57,16 +57,6 @@ impl Default for WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// A read-heavy population (90% reads): the shape that makes read
-    /// retries, hedges, and end-to-end read integrity earn their keep
-    /// in chaos campaigns.
-    pub fn read_mostly() -> Self {
-        WorkloadSpec {
-            read_fraction: 0.9,
-            ..WorkloadSpec::default()
-        }
-    }
-
     /// Encodes key index `i` as a fixed-width key.
     pub fn key(&self, i: u64) -> Vec<u8> {
         let mut k = format!("{i:016}").into_bytes();

@@ -1,7 +1,7 @@
-//! The `deepnote` CLI rejects zero and out-of-range flag values at the
-//! input boundary: each prints `error: bad value for --<flag>: <value>`
-//! (or `bad interval`) and exits 1, instead of panicking deep in the
-//! stack or running forever.
+//! The `deepnote` CLI rejects zero, out-of-range and huge flag values at
+//! the input boundary: each prints `error: bad value for --<flag>:
+//! <value>` (or `bad interval`) and exits 1, instead of panicking deep in
+//! the stack, aborting on allocation, or running forever.
 //!
 //! Every child runs under a deadline and is killed when it passes, so a
 //! hang fails the test instead of wedging the suite.
@@ -48,29 +48,45 @@ fn run(args: &[&str]) -> (i32, String) {
 
 #[test]
 fn bad_flag_values_exit_1_naming_the_flag() {
-    let cases: &[(&str, &str, &str)] = &[
-        ("cluster", "seconds", "0"),
-        ("cluster", "shards", "0"),
-        ("cluster", "clients", "0"),
-        ("cluster", "metrics-interval", "0"),
-        ("cluster", "metrics-interval", "0ms"),
-        ("cluster", "metrics-interval", "0us"),
-        ("table1", "seconds", "0"),
-        ("table2", "keys", "0"),
-        ("table2", "seconds", "0"),
-        ("fleet", "drives", "0"),
-        ("fleet", "spacing-cm", "-5"),
-        ("sweep", "requests", "0"),
-        ("sweep", "distance-cm", "-1"),
-        ("sweep", "distance-cm", "NaN"),
-        ("sweep", "distance-cm", "inf"),
+    const HUGE: &str = "18446744073709551615";
+    // (command, flag, value, what stderr says after the value)
+    let cases: &[(&str, &str, &str, &str)] = &[
+        ("cluster", "seconds", "0", "\n"),
+        ("cluster", "shards", "0", "\n"),
+        ("cluster", "clients", "0", "\n"),
+        ("cluster", "metrics-interval", "0", "(try"),
+        ("cluster", "metrics-interval", "0ms", "(try"),
+        ("cluster", "metrics-interval", "0us", "(try"),
+        ("table1", "seconds", "0", "\n"),
+        ("table2", "keys", "0", "\n"),
+        ("table2", "seconds", "0", "\n"),
+        ("fleet", "drives", "0", "\n"),
+        ("fleet", "spacing-cm", "-5", "\n"),
+        ("sweep", "requests", "0", "\n"),
+        ("sweep", "distance-cm", "-1", "\n"),
+        ("sweep", "distance-cm", "NaN", "\n"),
+        ("sweep", "distance-cm", "inf", "\n"),
+        // Above each flag's ceiling: overflow, allocation abort or a
+        // run that never ends, without the bound.
+        ("cluster", "seconds", HUGE, " (at most 86400)\n"),
+        ("cluster", "seconds", "86401", " (at most 86400)\n"),
+        ("cluster", "clients", HUGE, " (at most 1000)\n"),
+        ("cluster", "shards", "1001", " (at most 1000)\n"),
+        ("cluster", "metrics-interval", "1us", "(at least 10 ms)\n"),
+        ("cluster", "metrics-interval", "9ms", "(at least 10 ms)\n"),
+        ("table1", "seconds", HUGE, " (at most 200)\n"),
+        ("table1", "seconds", "201", " (at most 200)\n"),
+        ("table2", "seconds", HUGE, " (at most 600)\n"),
+        ("table2", "keys", HUGE, " (at most 1000000)\n"),
+        ("fleet", "drives", "100000000000", " (at most 1000)\n"),
+        ("sweep", "requests", HUGE, " (at most 1000)\n"),
     ];
-    for &(cmd, flag, value) in cases {
+    for &(cmd, flag, value, tail) in cases {
         let (code, stderr) = run(&[cmd, &format!("--{flag}"), value]);
         let want = if flag == "metrics-interval" {
-            format!("error: bad interval: {value} ")
+            format!("error: bad interval: {value} for --{flag} {tail}")
         } else {
-            format!("error: bad value for --{flag}: {value}\n")
+            format!("error: bad value for --{flag}: {value}{tail}")
         };
         assert_eq!(code, 1, "{cmd} --{flag} {value}: stderr {stderr}");
         assert!(

@@ -91,23 +91,6 @@ impl Testbed {
         &self.path
     }
 
-    /// Returns a copy with different water (the §5 water-conditions
-    /// ablation). Drops any transfer cache — the old table's values no
-    /// longer describe this testbed; re-install it last.
-    pub fn with_water(mut self, water: WaterConditions) -> Self {
-        self.water = water;
-        self.transfer = None;
-        self
-    }
-
-    /// Returns a copy with a different signal chain (e.g. a military
-    /// projector). Drops any transfer cache.
-    pub fn with_chain(mut self, chain: SignalChain) -> Self {
-        self.chain = chain;
-        self.transfer = None;
-        self
-    }
-
     /// Returns a copy with a different propagation model (open-water
     /// studies). Drops any transfer cache.
     pub fn with_propagation(mut self, model: PropagationModel) -> Self {
@@ -145,12 +128,6 @@ impl Testbed {
                 self.compute_tone(p.frequency(), p.distance())
             });
         self.transfer = Some(Arc::new(table));
-        self
-    }
-
-    /// Returns a copy with no transfer cache (every call recomputes).
-    pub fn without_transfer_cache(mut self) -> Self {
-        self.transfer = None;
         self
     }
 

@@ -240,11 +240,6 @@ impl HardDiskDrive {
         &self.servo
     }
 
-    /// Replaces the servo (e.g. the augmented-controller defense).
-    pub fn set_servo(&mut self, servo: ServoModel) {
-        self.servo = servo;
-    }
-
     /// Tolerance model.
     pub fn tolerance(&self) -> &ToleranceModel {
         &self.tolerance

@@ -101,13 +101,6 @@ impl TimingModel {
         self.write_cache
     }
 
-    /// Returns a copy with write caching disabled (enterprise
-    /// write-through configuration).
-    pub fn with_write_cache_disabled(mut self) -> Self {
-        self.write_cache = false;
-        self
-    }
-
     /// Timing calibrated for the paper's Barracuda under 4 KiB sync FIO:
     /// 18.0 MB/s sequential read, 22.7 MB/s sequential write, 0.2 ms
     /// per-op latency.

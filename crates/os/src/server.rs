@@ -82,7 +82,6 @@ pub struct ServerOs<D: BlockDevice> {
     writeback_interval: SimDuration,
     last_writeback: SimTime,
     log_cursor: u64,
-    wb_failures_total: u64,
     buffer_errors_seen: u64,
     services: ServiceManager,
 }
@@ -149,7 +148,6 @@ impl<D: BlockDevice> ServerOs<D> {
             writeback_interval: SimDuration::from_secs(5),
             last_writeback: now,
             log_cursor: 0,
-            wb_failures_total: 0,
             buffer_errors_seen: 0,
             services,
         })
@@ -173,11 +171,6 @@ impl<D: BlockDevice> ServerOs<D> {
     /// The root filesystem (attack wiring, inspection).
     pub fn filesystem_mut(&mut self) -> &mut Filesystem<D> {
         &mut self.fs
-    }
-
-    /// Total failed writeback attempts.
-    pub fn writeback_failures(&self) -> u64 {
-        self.wb_failures_total
     }
 
     /// The service supervisor's view of the system's daemons.
@@ -345,7 +338,6 @@ impl<D: BlockDevice> ServerOs<D> {
                         return &self.state;
                     }
                     Err(_) => {
-                        self.wb_failures_total += 1;
                         let block = offset / 4096;
                         self.klog.log(
                             self.clock.now(),
@@ -368,7 +360,6 @@ impl<D: BlockDevice> ServerOs<D> {
         let errors_now = self.fs.buffer_io_errors();
         if errors_now > self.buffer_errors_seen {
             let new = errors_now - self.buffer_errors_seen;
-            self.wb_failures_total += new;
             self.buffer_errors_seen = errors_now;
             self.klog.log(
                 self.clock.now(),

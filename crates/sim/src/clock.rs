@@ -37,13 +37,6 @@ impl Clock {
         }
     }
 
-    /// Creates a clock already advanced to `start`.
-    pub fn starting_at(start: SimTime) -> Self {
-        Clock {
-            nanos: Arc::new(AtomicU64::new(start.as_nanos())),
-        }
-    }
-
     /// The current virtual instant.
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(self.nanos.load(Ordering::SeqCst))
@@ -75,17 +68,6 @@ impl Clock {
         }
         SimTime::from_nanos(cur)
     }
-
-    /// Returns `true` if `other` is a handle to the same underlying clock.
-    pub fn same_clock(&self, other: &Clock) -> bool {
-        Arc::ptr_eq(&self.nanos, &other.nanos)
-    }
-
-    /// Elapsed virtual time since `earlier` (zero if `earlier` is in the
-    /// future).
-    pub fn elapsed_since(&self, earlier: SimTime) -> SimDuration {
-        self.now().saturating_duration_since(earlier)
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +80,6 @@ mod tests {
         let b = a.clone();
         a.advance(SimDuration::from_millis(7));
         assert_eq!(b.now(), SimTime::from_nanos(7_000_000));
-        assert!(a.same_clock(&b));
-        assert!(!a.same_clock(&Clock::new()));
     }
 
     #[test]
@@ -118,16 +98,5 @@ mod tests {
         // Going backwards is a no-op.
         c.advance_to(SimTime::from_secs(3));
         assert_eq!(c.now(), SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn starting_at_offsets_origin() {
-        let c = Clock::starting_at(SimTime::from_secs(100));
-        assert_eq!(c.now(), SimTime::from_secs(100));
-        assert_eq!(
-            c.elapsed_since(SimTime::from_secs(40)),
-            SimDuration::from_secs(60)
-        );
-        assert_eq!(c.elapsed_since(SimTime::from_secs(400)), SimDuration::ZERO);
     }
 }

@@ -53,16 +53,6 @@ impl TimeSeries {
         &self.name
     }
 
-    /// Unit label of the independent variable.
-    pub fn x_unit(&self) -> &str {
-        &self.x_unit
-    }
-
-    /// Unit label of the dependent variable.
-    pub fn y_unit(&self) -> &str {
-        &self.y_unit
-    }
-
     /// Appends a point.
     ///
     /// # Panics
@@ -93,22 +83,6 @@ impl TimeSeries {
     /// Returns `true` if the series has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// The maximum `y` value and its `x`, or `None` if empty.
-    pub fn max_point(&self) -> Option<(f64, f64)> {
-        self.points
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Mean of `y` values, or 0 if empty.
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
     }
 
     /// `y` at the sample closest to `x`, or `None` if empty.
@@ -175,14 +149,6 @@ mod tests {
             s.push(x, y);
         }
         s
-    }
-
-    #[test]
-    fn extremes_and_mean() {
-        let s = sample_series();
-        // Two points tie at y = 20.0; max_by keeps the last one.
-        assert_eq!(s.max_point(), Some((4000.0, 20.0)));
-        assert!((s.mean_y() - (20.0 + 0.5 + 0.0 + 0.2 + 19.0 + 20.0) / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl ResonatorBank {
         self
     }
 
-    /// Adds a mode in place.
-    pub fn push_mode(&mut self, mode: Resonator) {
-        self.modes.push(mode);
-    }
-
     /// The modes in the bank.
     pub fn modes(&self) -> &[Resonator] {
         &self.modes

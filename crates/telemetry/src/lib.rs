@@ -36,5 +36,5 @@ pub mod tracer;
 
 pub use chrome::{export as export_chrome_trace, json_f64, push_json_string};
 pub use metrics::{MetricId, MetricKind, MetricPoint, MetricSeries, MetricsRegistry};
-pub use slo::{BurnRateMonitor, BurnWindow, SloAlert, SloPolicy};
+pub use slo::{BurnRateMonitor, SloAlert};
 pub use tracer::{EventKind, Layer, TraceEvent, TraceLog, Tracer, Value, CONTROL_TRACK};

@@ -48,7 +48,7 @@ fn corruption_duel_config(hardened: bool) -> CampaignConfig {
     c.chaos = preload_corruption();
     c.verify_responses = true;
     if hardened {
-        c.cluster.integrity = IntegrityConfig::full();
+        c.cluster.integrity = true;
     }
     c
 }
@@ -113,7 +113,7 @@ fn transient_duel_config(resilient: bool) -> CampaignConfig {
     // the device).
     c.chaos = ChaosProfile::transient();
     if resilient {
-        c.client = Some(ClientPolicy::standard());
+        c.client = Some(ClientPolicy);
     }
     c
 }

@@ -32,6 +32,7 @@ const GOLDEN_ABLATIONS: u64 = 0x3954_525a_d081_e7aa;
 const GOLDEN_DUEL_SEPARATED: u64 = 0xa8f6_11a6_573b_9cf2;
 const GOLDEN_DUEL_COLOCATED: u64 = 0x74f2_23ba_8ccc_07d2;
 const GOLDEN_CHAOS_FULL: u64 = 0xea06_d326_2eed_f3ac;
+const GOLDEN_CHAOS_FULL_COLOCATED: u64 = 0xd793_de2e_b085_830f;
 const GOLDEN_TRACED_REPORT: u64 = 0x936a_829d_d09f_9a73;
 const GOLDEN_CHROME_TRACE: u64 = 0x75a9_5f46_0acd_6866;
 
@@ -128,23 +129,38 @@ fn paper_duel_reports_match_golden() {
     }
 }
 
-#[test]
-fn full_chaos_pair_reports_match_golden() {
-    let (mut hardened, mut naive) = CampaignConfig::chaos_pair(
-        PlacementPolicy::Separated,
-        SimDuration::from_secs(20),
-        &ChaosProfile::full(),
-    );
+/// The hardened and naive halves of a 400-key full-chaos duel with a
+/// 20 s attack.
+fn full_chaos_pair(placement: PlacementPolicy) -> [CampaignReport; 2] {
+    let (mut hardened, mut naive) =
+        CampaignConfig::chaos_pair(placement, SimDuration::from_secs(20), &ChaosProfile::full());
     hardened.workload.num_keys = 400;
     naive.workload.num_keys = 400;
-    let reports = [
+    [
         run_campaign(&hardened).expect("hardened campaign"),
         run_campaign(&naive).expect("naive campaign"),
-    ];
+    ]
+}
+
+#[test]
+fn full_chaos_pair_reports_match_golden() {
+    let reports = full_chaos_pair(PlacementPolicy::Separated);
     check(
         "full chaos pair",
         report_digest(&reports),
         GOLDEN_CHAOS_FULL,
+    );
+}
+
+/// The co-located twin is the run that fails over, backs off restarts,
+/// trips breakers and hedges.
+#[test]
+fn colocated_full_chaos_pair_reports_match_golden() {
+    let reports = full_chaos_pair(PlacementPolicy::CoLocated);
+    check(
+        "co-located full chaos pair",
+        report_digest(&reports),
+        GOLDEN_CHAOS_FULL_COLOCATED,
     );
 }
 
