@@ -95,11 +95,10 @@ struct TableFile {
 impl TableFile {
     /// The table, read from the file (and verified) on first access.
     fn table<D: BlockDevice>(&mut self, fs: &mut Filesystem<D>) -> Result<&SsTable, DbError> {
-        let table = match self.table.take() {
-            Some(table) => table,
-            None => SsTable::load(fs, &self.path)?,
-        };
-        Ok(self.table.insert(table))
+        match &mut self.table {
+            Some(table) => Ok(table),
+            slot @ None => Ok(slot.insert(SsTable::load(fs, &self.path)?)),
+        }
     }
 }
 
@@ -494,17 +493,11 @@ impl<D: BlockDevice> Db<D> {
         if let Some(hit) = self.memtable.get(key) {
             return Ok(hit.map(<[u8]>::to_vec));
         }
-        for file in self.level0.iter_mut().rev() {
+        // L0 newest→oldest, then L1 in key order, each table faulted in
+        // as the lookup reaches it.
+        for file in self.level0.iter_mut().rev().chain(&mut self.level1) {
             if let Some(hit) = file.table(&mut self.fs)?.get(key) {
                 return Ok(hit.map(<[u8]>::to_vec));
-            }
-        }
-        for file in &mut self.level1 {
-            let t = file.table(&mut self.fs)?;
-            if t.min_key().is_some_and(|mk| key >= mk) && t.max_key().is_some_and(|mk| key <= mk) {
-                if let Some(hit) = t.get(key) {
-                    return Ok(hit.map(<[u8]>::to_vec));
-                }
             }
         }
         Ok(None)

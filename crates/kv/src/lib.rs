@@ -13,8 +13,9 @@
 //!   journaling filesystem, group-synced like RocksDB's group commit
 //!   ([`wal`]).
 //! * [`SsTable`] — immutable sorted runs, held as their file's encoded
-//!   bytes plus record offsets: lookups binary-search the bytes, and
-//!   compaction merges runs by copying records verbatim ([`sstable`]).
+//!   bytes plus record offsets and an in-memory hash index over the keys:
+//!   a lookup is one hashed probe, and compaction merges runs by copying
+//!   records verbatim ([`sstable`]).
 //! * [`Db`] — open/recover, `put`/`get`/`delete`, memtable flush, L0→L1
 //!   compaction, and crash semantics: when WAL persistence stays blocked
 //!   past a patience budget the database dies with

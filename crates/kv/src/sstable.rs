@@ -4,12 +4,16 @@
 //! ascending key order. Files are small (≤ 1 MiB of encoded records per
 //! file, within the filesystem's file-size limit) and fully loaded on
 //! first access. A loaded table is byte-backed: it keeps the exact bytes
-//! of its file plus the start offset of every record, so a lookup
-//! binary-searches those bytes and returns a slice into them, and
-//! compaction copies each winning record's encoded bytes verbatim into
-//! the new tables. Resident tables stand in for RocksDB's block cache +
-//! the OS page cache, which is what lets `readwhilewriting` sustain
-//! ~10⁵ ops/s on a disk that can only do ~10³.
+//! of its file plus the start offset of every record, and compaction
+//! copies each winning record's encoded bytes verbatim into the new
+//! tables. Lookups go through a hash index over the keys, built in memory
+//! whenever a table is created (encoded, loaded or emitted by a merge)
+//! and never written to the file, as in RocksDB's PlainTable format: a
+//! get hashes the key once, probes the index and compares the one
+//! candidate record's key, returning a slice into the bytes. Resident
+//! tables stand in for RocksDB's block cache + the OS page cache, which
+//! is what lets `readwhilewriting` sustain ~10⁵ ops/s on a disk that can
+//! only do ~10³.
 
 use crate::error::DbError;
 use crate::record::{decode_parts, encode_parts, split_verified, RecordRef};
@@ -21,6 +25,10 @@ use std::collections::BinaryHeap;
 /// Target maximum encoded size of one SSTable file.
 pub const TARGET_FILE_BYTES: usize = 1 << 20;
 
+/// An index slot that holds no record. An occupied slot is never 0: it
+/// holds `tag << 32 | offset`, and every tag has its low bit set.
+const EMPTY: u64 = 0;
+
 /// An immutable sorted run: the encoded records of one SSTable file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SsTable {
@@ -28,6 +36,14 @@ pub struct SsTable {
     bytes: Vec<u8>,
     /// Start of each record in `bytes`, in key order.
     offsets: Vec<u32>,
+    /// Open-addressing hash index over the keys, linearly probed: a
+    /// power-of-two number of slots, at least twice the record count (so
+    /// a probe always reaches an [`EMPTY`] slot) and under four times it
+    /// (so ≤ 32 B per key). Each occupied slot holds a record's offset
+    /// and the high half of its key's [`key_hash`] as a tag, so a probe
+    /// reads a record's bytes only when the tags match. Host-only: never
+    /// written to the file.
+    slots: Vec<u64>,
 }
 
 impl SsTable {
@@ -50,7 +66,33 @@ impl SsTable {
             table.offsets.push(start);
             encode_parts(key, value, &mut table.bytes)?;
         }
-        Ok(table)
+        Ok(SsTable::indexed(table.bytes, table.offsets))
+    }
+
+    /// A table over `bytes`, whose records start at `offsets` with
+    /// strictly ascending keys, with its hash index built.
+    fn indexed(bytes: Vec<u8>, offsets: Vec<u32>) -> SsTable {
+        let len = match offsets.len() {
+            0 => 0,
+            n => (2 * n).next_power_of_two(),
+        };
+        let mask = len.wrapping_sub(1);
+        let mut slots = vec![EMPTY; len];
+        for &offset in &offsets {
+            let ((key, _), _) = split_verified(&bytes[offset as usize..]);
+            let hash = key_hash(key);
+            let mut at = hash as usize & mask;
+            // Keys are unique, so each one takes a slot of its own.
+            while slots[at] != EMPTY {
+                at = (at + 1) & mask;
+            }
+            slots[at] = slot_tag(hash) << 32 | u64::from(offset);
+        }
+        SsTable {
+            bytes,
+            offsets,
+            slots,
+        }
     }
 
     /// Writes the table to a new file at `path`, replacing any file
@@ -97,7 +139,7 @@ impl SsTable {
                 what: format!("SSTable {path} keys out of order"),
             });
         }
-        Ok(SsTable { bytes, offsets })
+        Ok(SsTable::indexed(bytes, offsets))
     }
 
     /// Number of records (including tombstones).
@@ -144,15 +186,60 @@ impl SsTable {
         self.len().checked_sub(1).map(|i| self.entry(i).0)
     }
 
-    /// Binary-searches for a key. `Some(None)` is a tombstone hit.
+    /// Looks a key up in the hash index. `Some(None)` is a tombstone hit.
     pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        let i = self.offsets.partition_point(|&o| {
-            let ((k, _), _) = split_verified(&self.bytes[o as usize..]);
-            k < key
-        });
-        let (k, value) = (i < self.len()).then(|| self.entry(i))?;
-        (k == key).then_some(value)
+        let hash = key_hash(key);
+        let tag = slot_tag(hash);
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut at = hash as usize & mask;
+        loop {
+            // An empty table has no slots: `get` answers `None`.
+            let slot = *self.slots.get(at)?;
+            if slot == EMPTY {
+                return None;
+            }
+            if slot >> 32 == tag {
+                let ((k, value), _) = split_verified(self.bytes.get(slot as u32 as usize..)?);
+                if k == key {
+                    return Some(value);
+                }
+            }
+            at = (at + 1) & mask;
+        }
     }
+}
+
+/// The index's hash of a key: FxHash's rotate-xor-multiply step over
+/// little-endian 8-byte words, seeded with the length, then MurmurHash3's
+/// 64-bit finalizer so that both the low bits (the home slot) and the
+/// high bits (the tag) depend on every byte. Fixed, so every run builds
+/// the same index.
+fn key_hash(key: &[u8]) -> u64 {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+    let mix = |h: u64, word: &[u8]| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        (h.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(K)
+    };
+    let mut h = (key.len() as u64).wrapping_mul(K);
+    let mut words = key.chunks_exact(8);
+    for word in &mut words {
+        h = mix(h, word);
+    }
+    if !words.remainder().is_empty() {
+        h = mix(h, words.remainder());
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ h >> 33
+}
+
+/// A key's tag in its index slot: the high half of its hash, low bit set
+/// so that no occupied slot equals [`EMPTY`].
+fn slot_tag(hash: u64) -> u64 {
+    hash >> 32 | 1
 }
 
 /// Merges sorted runs, newest first, into tables for the bottom level:
@@ -169,7 +256,7 @@ pub fn merge_to_bottom(runs: &[&SsTable]) -> Vec<SsTable> {
         .filter_map(|(r, run)| run.min_key().map(|k| Reverse((k, r, 0))))
         .collect();
     let mut out = Vec::new();
-    let mut current = SsTable::default();
+    let (mut bytes, mut offsets) = (Vec::new(), Vec::<u32>::new());
     let mut last: Option<&[u8]> = None;
     while let Some(Reverse((key, r, i))) = heads.pop() {
         let run = runs[r];
@@ -185,15 +272,18 @@ pub fn merge_to_bottom(runs: &[&SsTable]) -> Vec<SsTable> {
             continue;
         }
         let raw = run.raw(i);
-        if current.bytes.len() + raw.len() > TARGET_FILE_BYTES && !current.is_empty() {
-            out.push(std::mem::take(&mut current));
+        if bytes.len() + raw.len() > TARGET_FILE_BYTES && !offsets.is_empty() {
+            out.push(SsTable::indexed(
+                std::mem::take(&mut bytes),
+                std::mem::take(&mut offsets),
+            ));
         }
         // At most TARGET_FILE_BYTES: a fuller table was cut just above.
-        current.offsets.push(current.bytes.len() as u32);
-        current.bytes.extend_from_slice(raw);
+        offsets.push(bytes.len() as u32);
+        bytes.extend_from_slice(raw);
     }
-    if !current.is_empty() {
-        out.push(current);
+    if !offsets.is_empty() {
+        out.push(SsTable::indexed(bytes, offsets));
     }
     out
 }
@@ -234,6 +324,24 @@ mod tests {
                 value: v.map(<[u8]>::to_vec),
             })
             .collect()
+    }
+
+    /// The lookup the hash index replaced, kept as the reference: a
+    /// binary search over the records' offsets.
+    fn search<'t>(table: &'t SsTable, key: &[u8]) -> Option<Option<&'t [u8]>> {
+        let i = table.offsets.partition_point(|&o| {
+            let ((k, _), _) = split_verified(&table.bytes[o as usize..]);
+            k < key
+        });
+        let (k, value) = (i < table.len()).then(|| table.entry(i))?;
+        (k == key).then_some(value)
+    }
+
+    /// The indexed `get` agrees with the reference search on every probe.
+    fn assert_get_matches_search(table: &SsTable, probes: &[Vec<u8>]) {
+        for key in probes {
+            assert_eq!(table.get(key), search(table, key), "get({key:?})");
+        }
     }
 
     /// The merge the byte-backed one replaced, kept as the reference:
@@ -427,6 +535,101 @@ mod tests {
                 })
                 .collect();
             assert_merge_matches_reference(&runs);
+        }
+    }
+
+    /// Keys whose hash sends them to `slot` of an eight-slot index.
+    fn keys_homed_at(slot: usize) -> impl Iterator<Item = Vec<u8>> {
+        (0u32..)
+            .map(|i| format!("w{i}").into_bytes())
+            .filter(move |k| key_hash(k) as usize & 7 == slot)
+    }
+
+    #[test]
+    fn probe_chain_wraps_past_the_last_slot() {
+        // Four records get eight slots. Three keys homed at the last slot
+        // fill it and spill into slots 0 and 1.
+        let mut homed = keys_homed_at(7);
+        let mut wrapped: Vec<Vec<u8>> = homed.by_ref().take(3).collect();
+        let absent = homed.next().unwrap();
+        let other = keys_homed_at(2).next().unwrap();
+        let mut recs: Vec<Record> = wrapped
+            .iter()
+            .map(|k| Record::put(k.clone(), "v"))
+            .collect();
+        recs.push(Record::delete(other.clone()));
+        recs.sort_by(|a, b| a.key.cmp(&b.key));
+        let t = table(&recs);
+        assert_eq!(t.slots.len(), 8);
+        let slot_of = |key: &[u8]| {
+            let i = t.iter().position(|(k, _)| k == key).unwrap();
+            t.slots
+                .iter()
+                .position(|&s| s != EMPTY && s as u32 == t.offsets[i])
+                .unwrap()
+        };
+        let mut placed: Vec<usize> = wrapped.iter().map(|k| slot_of(k)).collect();
+        placed.sort_unstable();
+        assert_eq!(placed, [0, 1, 7], "the chain wraps to slots 0 and 1");
+        for key in &wrapped {
+            assert_eq!(t.get(key), Some(Some(b"v".as_ref())));
+        }
+        assert_eq!(t.get(&other), Some(None));
+        // A miss homed at the last slot walks the wrapped chain to slot 2
+        // (taken by `other`) and on to the empty slot 3.
+        assert_eq!(t.get(&absent), None);
+        wrapped.extend([absent, other, Vec::new()]);
+        assert_get_matches_search(&t, &wrapped);
+    }
+
+    /// Short keys over a two-letter alphabet, so the empty key and keys
+    /// that are prefixes of each other turn up; or arbitrary bytes, long
+    /// enough to cross several hash words.
+    fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(b'a'..=b'b', 0..4),
+            proptest::collection::vec(any::<u8>(), 0..24),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Tables built every way a table is built (encoded, written and
+        /// loaded, and merged) answer every probe as the binary search
+        /// does: present keys, tombstones, absent keys and the empty key.
+        #[test]
+        fn indexed_get_matches_binary_search(
+            newer in proptest::collection::vec(
+                (key_strategy(), proptest::option::of(proptest::collection::vec(any::<u8>(), 0..8))),
+                0..48,
+            ),
+            older in proptest::collection::vec(
+                (key_strategy(), proptest::option::of(proptest::collection::vec(any::<u8>(), 0..8))),
+                0..48,
+            ),
+            absent in proptest::collection::vec(key_strategy(), 0..16),
+        ) {
+            // Sorted and unique by key, as a run is.
+            let run = |entries: &[(Vec<u8>, Option<Vec<u8>>)]| -> Vec<Record> {
+                let run: BTreeMap<_, _> = entries.iter().cloned().collect();
+                run.into_iter().map(|(key, value)| Record { key, value }).collect()
+            };
+            let (newer, older) = (table(&run(&newer)), table(&run(&older)));
+            let mut fs = fs();
+            newer.write(&mut fs, "/db/s").unwrap();
+            let loaded = SsTable::load(&mut fs, "/db/s").unwrap();
+            prop_assert_eq!(&loaded, &newer);
+            let mut tables = vec![newer.clone(), older.clone(), loaded];
+            tables.extend(merge_to_bottom(&[&newer, &older]));
+            let mut probes: Vec<Vec<u8>> = absent;
+            probes.push(Vec::new());
+            for t in [&newer, &older] {
+                probes.extend(t.iter().map(|(k, _)| k.to_vec()));
+            }
+            for t in &tables {
+                assert_get_matches_search(t, &probes);
+            }
         }
     }
 
